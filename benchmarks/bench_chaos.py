@@ -31,6 +31,7 @@ for CI smoke runs::
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -335,18 +336,16 @@ def run_supervision_smoke(out_dir, history_path=None, n_cycles=4, interval=2):
             "recovery_seconds": report.recovery_seconds,
             "recovery_fraction": report.recovery_fraction,
         }
+        context = {"n_cycles": n_cycles, "seed": SUPERVISION_SEED,
+                   "restarts": report.restarts, "cpu_count": os.cpu_count()}
         verdicts = check_regression(
             read_history(history_path, bench="chaos-supervision"),
             "chaos-supervision",
             values,
+            context=context,
         )
         append_history(
-            history_path,
-            "chaos-supervision",
-            values,
-            context={"n_cycles": n_cycles,
-                     "seed": SUPERVISION_SEED,
-                     "restarts": report.restarts},
+            history_path, "chaos-supervision", values, context=context
         )
 
     print(render_supervision(report.to_dict()))

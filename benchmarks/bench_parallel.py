@@ -1,6 +1,5 @@
-"""Parallel-engine bench: serial vs thread/process fan-out vs the
-batched *vectorized* kernel, with equivalence and geometry-cache
-acceptance baked in.
+"""Parallel-engine bench: serial vs process fan-out of the inline local
+analyses, with bit-identity and geometry-cache acceptance baked in.
 
 Runs a 64-sub-domain DistributedEnKF problem for a few cycles under each
 execution strategy of :class:`repro.parallel.AnalysisExecutor` and
@@ -8,20 +7,13 @@ records per-cycle wall times into a schema-versioned
 ``BENCH_parallel.json`` (location overridable with the
 ``BENCH_PARALLEL_PATH`` env var).  Acceptance, asserted on every run:
 
-* thread/process analyses are **bit-identical** to the serial engine's,
-  every cycle; the vectorized analysis matches to ``rtol <= 1e-10``
-  (different linalg route, same mathematics — see
-  ``docs/PERFORMANCE.md``);
+* the process analysis is **bit-identical** to the serial engine's,
+  every cycle;
 * the geometry cache serves later cycles entirely from memory (cycle 2+
   performs zero ``restrict_to_box`` / stencil rebuilds);
-* the vectorized kernel beats serial fan-out by >= 1.5x warm,
-  **regardless of core count** — batching collapses the per-piece
-  Python loop, so the win does not depend on having cores to fan onto
-  and is asserted even on a 1-CPU smoke box;
-* on a machine with >= 4 cores, the best warm-cycle thread/process time
-  additionally beats serial by >= 2x (skipped — and recorded as
-  skipped — on smaller boxes, where the fan-out has nothing to fan
-  onto).
+* on a machine with >= 4 cores, the warm-cycle process time beats
+  serial by >= 2x (skipped — and recorded as skipped — on smaller
+  boxes, where the fan-out has nothing to fan onto).
 
 Usable three ways: under pytest (``test_parallel_bench_smoke``), as a
 pytest case collected from this file, and as a CLI for CI smoke runs::
@@ -44,7 +36,6 @@ except ImportError:  # CLI use without PYTHONPATH=src
 
 import numpy as np
 
-from repro.core.backend import get_backend
 from repro.core.domain import Decomposition
 from repro.core.grid import Grid
 from repro.core.observations import ObservationNetwork
@@ -54,27 +45,14 @@ from repro.parallel import AnalysisExecutor, GeometryCache
 SEED = 2019  # PPoPP'19
 
 #: Version the artifact so downstream tooling can detect layout changes;
-#: bump on any key rename or semantic change.  /2 added the vectorized
-#: strategy, its always-asserted >= 1.5x warm speedup, and the backend
-#: name.
-BENCH_PARALLEL_SCHEMA = "senkf-bench-parallel/2"
+#: bump on any key rename or semantic change.  /3 sweeps serial and
+#: process only (the thread and vectorized strategies and the backend
+#: field are gone).
+BENCH_PARALLEL_SCHEMA = "senkf-bench-parallel/3"
 
 _DEFAULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_parallel.json"
 
-STRATEGIES = ("serial", "thread", "process", "vectorized")
-#: strategies held to the bit-identity contract (vectorized is
-#: tolerance-checked instead — batched LU vs per-piece Cholesky).
-FANOUT_STRATEGIES = ("thread", "process")
-
-#: vectorized-vs-serial warm speedup floor, asserted on EVERY run.
-VECTORIZED_SPEEDUP_FLOOR = 1.5
-#: tolerance of the vectorized-vs-serial equivalence check.  Solve
-#: accuracy is *normwise*: both routes carry ~1e-12 absolute error on the
-#: O(1) state field, so near-zero entries need an absolute floor well
-#: above machine eps while every O(1) entry is still held to 1e-10
-#: relative.
-VECTORIZED_RTOL = 1e-10
-VECTORIZED_ATOL = 1e-11
+STRATEGIES = ("serial", "process")
 
 
 def validate_bench_parallel(payload: dict) -> None:
@@ -87,21 +65,12 @@ def validate_bench_parallel(payload: dict) -> None:
     for key in (
         "cpu_count", "n_subdomains", "n_members", "grid", "cycles",
         "timings", "identical", "best_speedup", "speedup_asserted",
-        "speedup_note", "geometry_cache", "backend",
-        "vectorized_speedup", "vectorized_equivalent",
-        "fanout_speedup_asserted",
+        "speedup_note", "geometry_cache",
     ):
         if key not in payload:
             raise ValueError(f"missing key {key!r}")
     if not isinstance(payload["identical"], bool):
         raise ValueError("identical must be a bool")
-    if not isinstance(payload["vectorized_equivalent"], bool):
-        raise ValueError("vectorized_equivalent must be a bool")
-    if not isinstance(payload["backend"], str) or not payload["backend"]:
-        raise ValueError("backend must be a non-empty string")
-    speedup = payload["vectorized_speedup"]
-    if not isinstance(speedup, float) or speedup <= 0:
-        raise ValueError("vectorized_speedup must be a positive float")
     timings = payload["timings"]
     if not timings or not isinstance(timings, dict):
         raise ValueError("timings must be a non-empty mapping")
@@ -152,7 +121,6 @@ def run_parallel_bench(smoke: bool = False, cycles: int = 3,
     timings: dict[str, list[float]] = {}
     references: list[np.ndarray] = []
     identical = True
-    vectorized_equivalent = True
     cache_stats = None
 
     for strategy in STRATEGIES:
@@ -171,12 +139,6 @@ def run_parallel_bench(smoke: bool = False, cycles: int = 3,
                 per_cycle.append(time.perf_counter() - t0)
                 if strategy == "serial":
                     references.append(analysed)
-                elif strategy == "vectorized":
-                    if not np.allclose(
-                        references[cycle], analysed,
-                        rtol=VECTORIZED_RTOL, atol=VECTORIZED_ATOL,
-                    ):
-                        vectorized_equivalent = False
                 elif not np.array_equal(references[cycle], analysed):
                     identical = False
             timings[strategy] = per_cycle
@@ -190,28 +152,22 @@ def run_parallel_bench(smoke: bool = False, cycles: int = 3,
 
     # Warm-cycle comparison: skip cycle 0 (pool spin-up + geometry build).
     warm = {s: min(t[1:]) if len(t) > 1 else t[0] for s, t in timings.items()}
-    best_parallel = min(warm["thread"], warm["process"])
-    best_speedup = warm["serial"] / best_parallel
-    vectorized_speedup = warm["serial"] / warm["vectorized"]
+    best_speedup = warm["serial"] / warm["process"]
     cpu_count = os.cpu_count() or 1
-    # The fan-out 2x floor needs cores and a non-trivial problem; the
-    # vectorized 1.5x floor is core-count-independent (batching removes
-    # Python-loop overhead, it does not add concurrency) and is asserted
-    # on every run, smoke and 1-CPU CI included.
-    fanout_speedup_asserted = cpu_count >= 4 and not smoke
-    speedup_asserted = True
-    if fanout_speedup_asserted:
+    # The fan-out 2x floor needs cores and a non-trivial problem.
+    speedup_asserted = cpu_count >= 4 and not smoke
+    if speedup_asserted:
         speedup_note = ""
     elif cpu_count < 4:
         speedup_note = (
             f"fan-out speedup unverified on this runner ({cpu_count} CPU "
-            f"core(s) < 4): vectorized speedup, equivalence and cache "
-            f"acceptance still asserted"
+            f"core(s) < 4): bit-identity and cache acceptance still "
+            f"asserted"
         )
     else:
         speedup_note = (
             "fan-out speedup unverified in smoke mode (problem too small "
-            "to amortise fan-out); vectorized speedup still asserted"
+            "to amortise fan-out)"
         )
 
     payload = {
@@ -219,7 +175,6 @@ def run_parallel_bench(smoke: bool = False, cycles: int = 3,
         "cpu_count": cpu_count,
         "workers": workers,
         "smoke": smoke,
-        "backend": get_backend(None).name,
         "grid": {"n_x": grid.n_x, "n_y": grid.n_y},
         "n_subdomains": n_pieces,
         "n_members": int(states.shape[1]),
@@ -227,26 +182,14 @@ def run_parallel_bench(smoke: bool = False, cycles: int = 3,
         "timings": timings,
         "warm_seconds": warm,
         "identical": identical,
-        "vectorized_equivalent": vectorized_equivalent,
         "best_speedup": best_speedup,
-        "vectorized_speedup": vectorized_speedup,
         "speedup_asserted": speedup_asserted,
-        "fanout_speedup_asserted": fanout_speedup_asserted,
         "speedup_note": speedup_note,
         "geometry_cache": cache_stats,
     }
     validate_bench_parallel(payload)
-    assert identical, "fan-out strategies diverged from the serial engine"
-    assert vectorized_equivalent, (
-        f"vectorized analysis diverged from serial beyond "
-        f"rtol {VECTORIZED_RTOL:g}"
-    )
-    assert vectorized_speedup >= VECTORIZED_SPEEDUP_FLOOR, (
-        f"expected >={VECTORIZED_SPEEDUP_FLOOR}x warm vectorized speedup "
-        f"regardless of core count, got {vectorized_speedup:.2f}x "
-        f"(warm seconds: {warm})"
-    )
-    if fanout_speedup_asserted:
+    assert identical, "process fan-out diverged from the serial engine"
+    if speedup_asserted:
         assert best_speedup >= 2.0, (
             f"expected >=2x warm fan-out speedup on a {cpu_count}-core box, "
             f"got {best_speedup:.2f}x (warm seconds: {warm})"
@@ -295,8 +238,6 @@ def _append_to_history(payload: dict) -> Path:
             "cycles": payload["cycles"],
             "cpu_count": payload["cpu_count"],
             "workers": payload["workers"],
-            "backend": payload["backend"],
-            "vectorized_speedup": payload["vectorized_speedup"],
             "speedup_asserted": payload["speedup_asserted"],
         },
     )
@@ -307,7 +248,7 @@ def report(payload: dict) -> str:
     lines = [
         f"parallel engine bench — {payload['n_subdomains']} sub-domains, "
         f"N={payload['n_members']}, {payload['cpu_count']} core(s), "
-        f"{payload['workers']} worker(s), backend {payload['backend']}",
+        f"{payload['workers']} worker(s)",
         f"  {'strategy':<10} {'cold (s)':>10} {'warm (s)':>10}",
     ]
     for strategy in STRATEGIES:
@@ -315,15 +256,10 @@ def report(payload: dict) -> str:
         lines.append(
             f"  {strategy:<10} {t[0]:>10.3f} {payload['warm_seconds'][strategy]:>10.3f}"
         )
-    lines.append(
-        f"  bit-identical (fan-out): {payload['identical']}   "
-        f"vectorized equivalent: {payload['vectorized_equivalent']}"
-    )
+    lines.append(f"  bit-identical (process): {payload['identical']}")
     lines.append(
         f"  fan-out speedup: {payload['best_speedup']:.2f}x"
-        + ("" if payload["fanout_speedup_asserted"] else "  (not asserted)")
-        + f"   vectorized speedup: {payload['vectorized_speedup']:.2f}x"
-        + "  (asserted)"
+        + ("" if payload["speedup_asserted"] else "  (not asserted)")
     )
     if payload["speedup_note"]:
         lines.append(f"  note: {payload['speedup_note']}")
@@ -338,23 +274,17 @@ def report(payload: dict) -> str:
 def test_parallel_bench_smoke():
     """Pytest entry: smoke-scale sweep with all acceptance checks.
 
-    The vectorized >= 1.5x warm speedup is asserted *before* any skip —
-    it holds regardless of core count, so even a 1-core box verifies it.
-    When the runner is additionally too small to assert the >=2x fan-out
-    speedup the test SKIPS with the payload's note instead of silently
-    passing — a green dot must never read as "fan-out speedup verified"
-    on a 1-core box.  The hard acceptance (bit-identity, vectorized
-    equivalence, geometry-cache behaviour) is asserted before skipping
-    either way.
+    When the runner is too small to assert the >=2x fan-out speedup the
+    test SKIPS with the payload's note instead of silently passing — a
+    green dot must never read as "fan-out speedup verified" on a 1-core
+    box.  The hard acceptance (bit-identity, geometry-cache behaviour)
+    is asserted before skipping either way.
     """
     import pytest
 
     payload = run_parallel_bench(smoke=True, cycles=2, workers=2)
     assert payload["identical"]
-    assert payload["vectorized_equivalent"]
-    assert payload["speedup_asserted"]
-    assert payload["vectorized_speedup"] >= VECTORIZED_SPEEDUP_FLOOR
-    if not payload["fanout_speedup_asserted"]:
+    if not payload["speedup_asserted"]:
         pytest.skip(payload["speedup_note"])
 
 

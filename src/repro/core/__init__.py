@@ -27,34 +27,20 @@ from repro.core.covariance import (
     sample_covariance,
     tapered_covariance,
 )
-from repro.core.backend import (
-    ArrayBackend,
-    BackendUnavailableError,
-    available_backends,
-    backend_report,
-    get_backend,
-)
-from repro.core.cholesky import (
-    modified_cholesky_inverse,
-    modified_cholesky_inverse_batched,
-)
+from repro.core.cholesky import RowGroups, modified_cholesky_inverse
 from repro.core.analysis import (
     analysis_gain_form,
-    analysis_gain_form_batched,
     analysis_precision_form,
-    analysis_precision_form_batched,
     local_analysis,
 )
 from repro.core.adaptive import innovation_inflation_factor, rtps
 from repro.core.diagnostics import DesroziersStats, desroziers_diagnostics
 from repro.core.esmda import esmda, mda_coefficients
-from repro.core.etkf import analysis_etkf, analysis_etkf_batched, local_analysis_etkf
+from repro.core.etkf import analysis_etkf, local_analysis_etkf
 from repro.core.inflation import inflate
 from repro.core.verification import ensemble_spread, rmse
 
 __all__ = [
-    "ArrayBackend",
-    "BackendUnavailableError",
     "Decomposition",
     "DesroziersStats",
     "Ensemble",
@@ -62,21 +48,16 @@ __all__ = [
     "InterpolatingObservationNetwork",
     "LocalBox",
     "ObservationNetwork",
+    "RowGroups",
     "SubDomain",
     "analysis_etkf",
-    "analysis_etkf_batched",
     "analysis_gain_form",
-    "analysis_gain_form_batched",
     "analysis_precision_form",
-    "analysis_precision_form_batched",
     "anomalies",
-    "available_backends",
-    "backend_report",
     "desroziers_diagnostics",
     "ensemble_spread",
     "esmda",
     "gaspari_cohn",
-    "get_backend",
     "inflate",
     "innovation_inflation_factor",
     "local_analysis",
@@ -84,7 +65,6 @@ __all__ = [
     "local_analysis_etkf",
     "local_box",
     "modified_cholesky_inverse",
-    "modified_cholesky_inverse_batched",
     "perturb_observations",
     "radius_to_halo",
     "rtps",

@@ -23,7 +23,6 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg  # noqa: F401 - enables sp.linalg.factorized
 
-from repro.core.backend import ArrayBackend, get_backend
 from repro.core.cholesky import modified_cholesky_inverse
 from repro.core.domain import SubDomain
 from repro.core.observations import ObservationNetwork
@@ -149,124 +148,6 @@ def analysis_precision_form(
     return xb + delta
 
 
-def _check_batched_shapes(xb, h, r_diag, y) -> None:
-    if xb.ndim != 3:
-        raise ValueError(f"backgrounds must be (B, n, N), got {xb.shape}")
-    n_batch, n, _ = xb.shape
-    if h.ndim != 3 or h.shape[0] != n_batch or h.shape[2] != n:
-        raise ValueError(
-            f"h_operators must be (B={n_batch}, m, n={n}), got {h.shape}"
-        )
-    m = h.shape[1]
-    if r_diag.shape != (n_batch, m):
-        raise ValueError(
-            f"r_diags must be ({n_batch}, {m}), got {r_diag.shape}"
-        )
-    if y.shape[:2] != (n_batch, m):
-        raise ValueError(
-            f"observations must lead with ({n_batch}, {m}), got {y.shape}"
-        )
-
-
-def analysis_gain_form_batched(
-    backgrounds,
-    h_operators,
-    r_diags,
-    y_perturbed,
-    b_matrices=None,
-    backend: ArrayBackend | None = None,
-):
-    """Eq. (3) over a stack of same-shaped local problems.
-
-    All operands carry a leading batch axis: ``backgrounds`` is
-    ``(B, n, N)``, ``h_operators`` is dense ``(B, m, n)``, ``r_diags``
-    is ``(B, m)``, ``y_perturbed`` is ``(B, m, N)`` and the optional
-    explicit ``b_matrices`` is ``(B, n, n)``.  One batched
-    observation-space solve replaces ``B`` per-piece calls.  Padded
-    observation slots (zero ``H`` rows, unit ``R``, zero ``Yˢ``) are
-    exact no-ops: they contribute zero rows to the innovation and zero
-    columns to ``B Hᵀ``.
-
-    Returns the ``(B, n, N)`` analysis stack as a backend array.
-    Per-slice results match :func:`analysis_gain_form` to reduction
-    order (the per-piece path solves with Cholesky ``posv``, the
-    batched path with LU), hence the rtol ≤ 1e-10 equivalence contract.
-    """
-    bk = backend if backend is not None else get_backend()
-    xb = bk.asarray(backgrounds, dtype=float)
-    h = bk.asarray(h_operators, dtype=float)
-    r_diag = bk.asarray(r_diags, dtype=float)
-    ys = bk.asarray(y_perturbed, dtype=float)
-    _check_batched_shapes(xb, h, r_diag, ys)
-    n_members = xb.shape[2]
-    hx = h @ xb  # (B, m, N)
-    innov = ys - hx
-
-    if b_matrices is not None:
-        b = bk.asarray(b_matrices, dtype=float)
-        bht = b @ h.transpose(0, 2, 1)  # (B, n, m)
-        s = h @ bht  # (B, m, m)
-    else:
-        if n_members < 2:
-            raise ValueError("sample-covariance gain form needs N >= 2")
-        u = xb - xb.mean(axis=2, keepdims=True)
-        hu = h @ u  # (B, m, N)
-        bht = u @ hu.transpose(0, 2, 1) / (n_members - 1)  # (B, n, m)
-        s = hu @ hu.transpose(0, 2, 1) / (n_members - 1)  # (B, m, m)
-    m = h.shape[1]
-    eye = bk.xp.arange(m)
-    s = bk.index_update(
-        s, (slice(None), eye, eye), s[:, eye, eye] + r_diag
-    )
-    z = bk.solve(s, innov)  # (B, m, N)
-    return xb + bht @ z
-
-
-def analysis_precision_form_batched(
-    backgrounds,
-    h_operators,
-    r_diags,
-    y_perturbed,
-    b_inverses,
-    backend: ArrayBackend | None = None,
-):
-    """Eq. (5) over a stack of same-shaped local problems.
-
-    ``backgrounds`` is ``(B, n, N)``, ``h_operators`` dense
-    ``(B, m, n)``, ``r_diags`` ``(B, m)``, ``y_perturbed`` ``(B, m, N)``
-    and ``b_inverses`` the ``(B, n, n)`` precision stack (e.g. from
-    :func:`~repro.core.cholesky.modified_cholesky_inverse_batched`).
-    One batched state-space solve replaces ``B`` per-piece calls.
-    Padded observation slots (zero ``H`` rows, *unit* ``R`` diagonal so
-    ``R⁻¹`` is finite, zero ``Yˢ``) contribute exactly nothing to
-    ``Hᵀ R⁻¹ H`` and the right-hand side.
-
-    Returns the ``(B, n, N)`` analysis stack as a backend array;
-    per-slice agreement with :func:`analysis_precision_form` is to
-    reduction order (rtol ≤ 1e-10 contract), not bit-identical.
-    """
-    bk = backend if backend is not None else get_backend()
-    xb = bk.asarray(backgrounds, dtype=float)
-    h = bk.asarray(h_operators, dtype=float)
-    r_diag = bk.asarray(r_diags, dtype=float)
-    ys = bk.asarray(y_perturbed, dtype=float)
-    _check_batched_shapes(xb, h, r_diag, ys)
-    b_inv = bk.asarray(b_inverses, dtype=float)
-    n_batch, n, _ = xb.shape
-    if b_inv.shape != (n_batch, n, n):
-        raise ValueError(
-            f"B̂⁻¹ stack has shape {b_inv.shape}, expected {(n_batch, n, n)}"
-        )
-    r_inv = 1.0 / r_diag  # (B, m)
-    hx = h @ xb  # (B, m, N)
-    innov = ys - hx
-    ht_rinv = h.transpose(0, 2, 1) * r_inv[:, None, :]  # (B, n, m)
-    a = b_inv + ht_rinv @ h  # (B, n, n)
-    rhs = ht_rinv @ innov  # (B, n, N)
-    delta = bk.solve(a, rhs)
-    return xb + delta
-
-
 def local_analysis(
     subdomain: SubDomain,
     expansion_states: np.ndarray,
@@ -305,7 +186,7 @@ def local_analysis(
     geometry:
         Optional :class:`~repro.parallel.geometry.PieceGeometry` carrying
         the cycle-invariant artifacts (observation restriction, index
-        arrays, ``R`` diagonal, Cholesky predecessor stencil).  When given
+        arrays, ``R`` diagonal, Cholesky row-group plan).  When given
         it *replaces* every geometric derivation here — including
         ``network``, which may then be ``None`` (the parallel workers
         never ship the network object).  The numerical path is unchanged,
@@ -323,14 +204,14 @@ def local_analysis(
         interior = geometry.interior_positions
         obs_positions, h_local = geometry.obs_positions, geometry.h_local
         ix, iy = geometry.exp_ix, geometry.exp_iy
-        predecessors = geometry.predecessors
+        row_groups = geometry.row_groups
     else:
         interior = subdomain.interior_positions_in_expansion
         obs_positions, h_local = network.restrict_to_box(
             subdomain.exp_x_indices, subdomain.exp_y_indices
         )
         ix, iy = subdomain.expansion_coords
-        predecessors = None
+        row_groups = None
 
     if obs_positions.size == 0:
         # Nothing observed near this sub-domain: background is the analysis.
@@ -339,7 +220,7 @@ def local_analysis(
     if b_inverse is None:
         b_inverse = modified_cholesky_inverse(
             xb, subdomain.grid, ix, iy, radius_km=radius_km, ridge=ridge,
-            sparse=sparse_solver, predecessors=predecessors,
+            sparse=sparse_solver, row_groups=row_groups,
         )
     y_local = np.asarray(y_perturbed_global, dtype=float)[obs_positions, :]
     if geometry is not None:

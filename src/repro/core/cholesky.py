@@ -16,14 +16,25 @@ variance is positive (we floor them to guarantee it).
 The function operates on a *local* ensemble (a sub-domain expansion): the
 coordinate arrays tell it the (ix, iy) of each component so the conditional
 dependence structure follows the physical localization radius.
+
+The per-row regressions are independent of each other (the parallelism
+Nino-Ruiz, Sandu & Deng exploit), so the estimator runs them *row-grouped*:
+rows with the same predecessor count ``|p|`` are gathered into one
+``(R, |p|, N)`` stack and solved with a single batched LAPACK call.  A
+planar stencil has only a handful of distinct counts, so an expansion of
+a few hundred points costs a few dozen array operations instead of one
+Python iteration per row.  The grouping (:class:`RowGroups`) depends only
+on the stencil, so callers that analyse the same sub-domain every cycle
+build it once and pass it in.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.backend import ArrayBackend, get_backend
 from repro.core.grid import Grid
 from repro.util.validation import check_positive
 
@@ -55,6 +66,57 @@ def neighbour_predecessors(
     return preds
 
 
+@dataclass(frozen=True)
+class RowGroups:
+    """A predecessor stencil's rows grouped by predecessor count.
+
+    Also carries the CSR skeleton of the unit lower-triangular ``L``: row
+    ``i`` holds its predecessors (ascending) followed by its unit
+    diagonal, so ``indices`` is sorted within every row and only the
+    regression coefficients have to be filled in per ensemble.
+    """
+
+    #: CSR row pointer of ``L`` (n + 1,)
+    indptr: np.ndarray
+    #: CSR column indices of ``L`` (nnz,)
+    indices: np.ndarray
+    #: position of each row's unit diagonal in ``L``'s data array (n,)
+    diag_pos: np.ndarray
+    #: per group, the rows it holds (R,)
+    rows: tuple[np.ndarray, ...]
+    #: per group, the rows' predecessor indices (R, |p|)
+    preds: tuple[np.ndarray, ...]
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
+
+    @classmethod
+    def from_predecessors(cls, predecessors) -> "RowGroups":
+        """Group a :func:`neighbour_predecessors` stencil."""
+        n = len(predecessors)
+        counts = np.fromiter(
+            (len(p) for p in predecessors), dtype=np.int64, count=n
+        )
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts + 1, out=indptr[1:])
+        diag_pos = indptr[1:] - 1
+        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        indices[diag_pos] = np.arange(n)
+        off_diag = np.ones(indices.size, dtype=bool)
+        off_diag[diag_pos] = False
+        if n:
+            indices[off_diag] = np.concatenate(predecessors)
+        order = np.argsort(counts, kind="stable")
+        splits = np.flatnonzero(np.diff(counts[order])) + 1
+        rows = tuple(np.split(order, splits)) if n else ()
+        preds = tuple(
+            indices[indptr[r][:, None] + np.arange(counts[r[0]])]
+            for r in rows
+        )
+        return cls(indptr, indices, diag_pos, rows, preds)
+
+
 def modified_cholesky_inverse(
     states: np.ndarray,
     grid: Grid,
@@ -64,7 +126,7 @@ def modified_cholesky_inverse(
     ridge: float = 1e-8,
     min_variance: float = 1e-12,
     sparse: bool = False,
-    predecessors: list[np.ndarray] | None = None,
+    row_groups: RowGroups | None = None,
 ) -> np.ndarray:
     """Estimate ``B̂⁻¹`` from a (local) ensemble by modified Cholesky.
 
@@ -88,11 +150,12 @@ def modified_cholesky_inverse(
         ``L`` has at most ``O(stencil)`` entries per row, so ``B̂⁻¹`` is
         banded; the sparse representation lets the precision-form solve
         use sparse factorisation on large local domains.
-    predecessors:
-        Pre-computed :func:`neighbour_predecessors` stencil.  The stencil
-        depends only on the coordinates and the radius — never on the
-        ensemble — so callers that analyse the same sub-domain every cycle
-        (the geometry cache) pass it in and skip the O(n²) rebuild.
+    row_groups:
+        Pre-computed :class:`RowGroups` of the :func:`neighbour_predecessors`
+        stencil.  The stencil depends only on the coordinates and the
+        radius — never on the ensemble — so callers that analyse the same
+        sub-domain every cycle (the geometry cache) pass it in and skip the
+        O(n²) rebuild; built inside the call when omitted.
 
     Returns
     -------
@@ -109,125 +172,39 @@ def modified_cholesky_inverse(
         raise ValueError("coordinate arrays must match the state dimension")
     u = u - u.mean(axis=1, keepdims=True)
 
-    if predecessors is not None:
-        if len(predecessors) != n:
-            raise ValueError(
-                f"predecessors has {len(predecessors)} entries for n={n}"
-            )
-        preds = predecessors
-    else:
-        preds = neighbour_predecessors(grid, ix, iy, radius_km)
+    if row_groups is None:
+        row_groups = RowGroups.from_predecessors(
+            neighbour_predecessors(grid, ix, iy, radius_km)
+        )
+    elif row_groups.n != n:
+        raise ValueError(f"row_groups covers {row_groups.n} rows for n={n}")
+
     d = np.empty(n)
     dof = max(n_members - 1, 1)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    for i in range(n):
-        p = preds[i]
-        xi = u[i]
-        rows.append(i)
-        cols.append(i)
-        vals.append(1.0)
-        if p.size == 0:
+    data = np.empty(row_groups.indices.size)
+    data[row_groups.diag_pos] = 1.0
+    for rows, preds in zip(row_groups.rows, row_groups.preds):
+        xi = u[rows]  # (R, N)
+        k = preds.shape[1]
+        if k == 0:
             resid = xi
         else:
-            xp = u[p]  # (|p|, N)
-            gram = xp @ xp.T
-            lam = ridge * (np.trace(gram) / max(p.size, 1) + 1.0)
-            gram[np.diag_indices_from(gram)] += lam
-            beta = np.linalg.solve(gram, xp @ xi)
-            rows.extend([i] * p.size)
-            cols.extend(int(j) for j in p)
-            vals.extend(float(-b) for b in beta)
-            resid = xi - beta @ xp
-        d[i] = max(float(resid @ resid) / dof, min_variance)
+            xp = u[preds]  # (R, |p|, N)
+            gram = xp @ xp.transpose(0, 2, 1)
+            lam = ridge * (np.trace(gram, axis1=1, axis2=2) / k + 1.0)
+            diag = np.arange(k)
+            gram[:, diag, diag] += lam[:, None]
+            beta = np.linalg.solve(gram, xp @ xi[:, :, None])  # (R, |p|, 1)
+            data[row_groups.indptr[rows][:, None] + diag] = -beta[:, :, 0]
+            resid = xi - (beta.transpose(0, 2, 1) @ xp)[:, 0, :]
+        var = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / dof
+        d[rows] = np.maximum(var, min_variance)
 
-    lower = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    lower = sp.csr_matrix(
+        (data, row_groups.indices, row_groups.indptr), shape=(n, n)
+    )
     d_inv = sp.diags(1.0 / d)
     b_inv = (lower.T @ d_inv @ lower).tocsr()
     if sparse:
         return b_inv
     return np.asarray(b_inv.todense())
-
-
-def modified_cholesky_inverse_batched(
-    states,
-    predecessors: list[np.ndarray],
-    ridge: float = 1e-8,
-    min_variance: float = 1e-12,
-    backend: ArrayBackend | None = None,
-):
-    """Batched ``B̂⁻¹ = Lᵀ D⁻¹ L`` over a stack of same-stencil ensembles.
-
-    The per-piece estimator above spends its time in a Python loop over
-    the ``n`` components, each iteration doing a tiny ``(|p|, |p|)``
-    solve.  When ``B`` sub-domain pieces share one predecessor stencil
-    (translation-equivalent expansions — verified structurally by the
-    bucketing layer, never assumed), the loop can run *once* with every
-    per-row operation batched over the stack: ``B·n`` Python iterations
-    collapse to ``n``, and each solve becomes one batched LAPACK call.
-
-    Parameters
-    ----------
-    states:
-        ``(B, n, N)`` stack of local ensembles (all sharing the stencil).
-    predecessors:
-        The shared :func:`neighbour_predecessors` stencil (length ``n``).
-    ridge, min_variance:
-        Same regularisation knobs as :func:`modified_cholesky_inverse`.
-    backend:
-        :class:`~repro.core.backend.ArrayBackend` to run under; ``None``
-        resolves the default (NumPy unless ``SENKF_BACKEND`` says
-        otherwise).
-
-    Returns the ``(B, n, n)`` stack of dense SPD precision estimates as
-    a backend array (callers keep it on-device for the batched solve).
-    Per-slice results match :func:`modified_cholesky_inverse` to
-    floating-point reduction order (rtol ≲ 1e-12), not bit-identically —
-    batched BLAS may reduce in a different order.
-    """
-    bk = backend if backend is not None else get_backend()
-    xp = bk.xp
-    u = bk.asarray(states, dtype=float)
-    if u.ndim != 3:
-        raise ValueError(f"expected (B, n, N) ensemble stack, got {u.shape}")
-    n_batch, n, n_members = u.shape
-    if n_members < 2:
-        raise ValueError("modified Cholesky needs at least 2 members")
-    if len(predecessors) != n:
-        raise ValueError(
-            f"predecessors has {len(predecessors)} entries for n={n}"
-        )
-    u = u - u.mean(axis=2, keepdims=True)
-    dof = max(n_members - 1, 1)
-
-    d = xp.ones((n_batch, n))
-    l_mat = xp.zeros((n_batch, n, n))
-    diag = xp.arange(n)
-    l_mat = bk.index_update(l_mat, (slice(None), diag, diag), 1.0)
-    for i in range(n):
-        p = predecessors[i]
-        xi = u[:, i, :]  # (B, N)
-        if p.size == 0:
-            resid = xi
-        else:
-            xp_ = u[:, p, :]  # (B, |p|, N)
-            gram = xp_ @ xp_.transpose(0, 2, 1)  # (B, |p|, |p|)
-            trace = bk.einsum("bii->b", gram)
-            lam = ridge * (trace / p.size + 1.0)
-            eye = xp.arange(p.size)
-            gram = bk.index_update(
-                gram, (slice(None), eye, eye), gram[:, eye, eye] + lam[:, None]
-            )
-            beta = bk.solve(gram, xp_ @ xi[:, :, None])  # (B, |p|, 1)
-            l_mat = bk.index_update(
-                l_mat, (slice(None), i, p), -beta[:, :, 0]
-            )
-            resid = xi - bk.einsum("bp,bpk->bk", beta[:, :, 0], xp_)
-        var = xp.sum(resid * resid, axis=1) / dof
-        d = bk.index_update(
-            d, (slice(None), i), xp.maximum(var, min_variance)
-        )
-    # B̂⁻¹ = Lᵀ D⁻¹ L, batched.
-    return bk.einsum("bki,bk,bkj->bij", l_mat, 1.0 / d, l_mat)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from repro.core.backend import ArrayBackend, get_backend
 from repro.core.domain import SubDomain
 
 
@@ -86,77 +85,6 @@ def analysis_etkf(
     analysed_mean = mean + anomalies @ weight_mean
     analysed_anoms = anomalies @ transform
     return analysed_mean[:, None] + analysed_anoms
-
-
-def analysis_etkf_batched(
-    backgrounds,
-    h_operators,
-    r_diags,
-    ys,
-    inflation: float = 1.0,
-    backend: ArrayBackend | None = None,
-):
-    """ETKF transform over a stack of same-shaped local problems.
-
-    ``backgrounds`` is ``(B, n, N)``, ``h_operators`` dense
-    ``(B, m, n)``, ``r_diags`` ``(B, m)``, ``ys`` ``(B, m)``.  The
-    per-piece N×N eigendecompositions become one batched ``eigh`` call.
-    Padded observation slots (zero ``H`` rows, unit ``R``, zero ``y``)
-    drop out of both ``(HU)ᵀ R⁻¹ (HU)`` and the innovation term, so
-    padding is exact.
-
-    Returns the ``(B, n, N)`` analysed stack as a backend array;
-    per-slice agreement with :func:`analysis_etkf` is to reduction
-    order (rtol ≤ 1e-10 contract).
-    """
-    bk = backend if backend is not None else get_backend()
-    xp = bk.xp
-    xb = bk.asarray(backgrounds, dtype=float)
-    h = bk.asarray(h_operators, dtype=float)
-    r_diag = bk.asarray(r_diags, dtype=float)
-    y = bk.asarray(ys, dtype=float)
-    if xb.ndim != 3 or xb.shape[2] < 2:
-        raise ValueError(f"backgrounds must be (B, n, N>=2), got {xb.shape}")
-    if inflation <= 0:
-        raise ValueError(f"inflation must be positive, got {inflation}")
-    n_batch, n, n_members = xb.shape
-    if h.ndim != 3 or h.shape[0] != n_batch or h.shape[2] != n:
-        raise ValueError(
-            f"h_operators must be (B={n_batch}, m, n={n}), got {h.shape}"
-        )
-    m = h.shape[1]
-    if r_diag.shape != (n_batch, m) or y.shape != (n_batch, m):
-        raise ValueError(
-            f"r_diags/ys must be ({n_batch}, {m}), got "
-            f"{r_diag.shape} / {y.shape}"
-        )
-    r_inv = 1.0 / r_diag  # (B, m)
-
-    mean = xb.mean(axis=2)  # (B, n)
-    anomalies = (xb - mean[:, :, None]) * inflation
-    hu = h @ anomalies  # (B, m, N)
-    innovation = y - bk.einsum("bmn,bn->bm", h, mean)  # (B, m)
-
-    c = hu.transpose(0, 2, 1) * r_inv[:, None, :]  # (B, N, m)
-    a_inv = c @ hu  # (B, N, N)
-    eye = xp.arange(n_members)
-    a_inv = bk.index_update(
-        a_inv, (slice(None), eye, eye),
-        a_inv[:, eye, eye] + float(n_members - 1),
-    )
-    eigvals, eigvecs = bk.eigh(a_inv)
-    eigvals = xp.maximum(eigvals, 1e-12)
-    a_tilde = (eigvecs / eigvals[:, None, :]) @ eigvecs.transpose(0, 2, 1)
-    transform = (
-        eigvecs * xp.sqrt((n_members - 1) / eigvals)[:, None, :]
-    ) @ eigvecs.transpose(0, 2, 1)
-
-    weight_mean = bk.einsum(
-        "bij,bj->bi", a_tilde, bk.einsum("bim,bm->bi", c, innovation)
-    )  # (B, N)
-    analysed_mean = mean + bk.einsum("bni,bi->bn", anomalies, weight_mean)
-    analysed_anoms = anomalies @ transform
-    return analysed_mean[:, :, None] + analysed_anoms
 
 
 def local_analysis_etkf(

@@ -35,6 +35,7 @@ the accumulated ``BENCH_history.jsonl`` on its own::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.experiments.config import default_config
@@ -53,8 +54,7 @@ def _campaign_problem(workers: int | None = None, executor=None,
     :class:`~repro.parallel.executor.AnalysisExecutor` — the fan-out
     analysis is bit-identical to the serial default, so resumes may
     freely mix ``--workers`` values; ``strategy`` pins the executor's
-    strategy (``"vectorized"`` is equivalent to serial to rtol 1e-10,
-    not bit-identical); alternatively pass a caller-owned ``executor``
+    strategy; alternatively pass a caller-owned ``executor``
     (e.g. a supervised process-strategy one).  Returns ``(twin, truth0,
     ensemble0, filt)``; callers that set ``workers`` or ``strategy``
     must ``filt.close()`` when done.
@@ -759,17 +759,19 @@ def _run_doctor_profile(args) -> int:
         "wall_seconds": timer.elapsed,
         "peak_rss_bytes": float(memory_slice["peak_rss_bytes"]),
     }
+    context = {
+        "schema": PROFILE_SCHEMA, "n_cycles": n_cycles,
+        "cpu_count": os.cpu_count(),
+    }
     verdicts = check_regression(
         read_history(history_path, bench="doctor-profile"),
         "doctor-profile",
         values,
+        context=context,
     )
-    append_history(
-        history_path,
-        "doctor-profile",
-        values,
-        context={"schema": PROFILE_SCHEMA, "n_cycles": n_cycles},
-    )
+    append_history(history_path, "doctor-profile", values, context=context)
+    for v in verdicts:
+        print(f"sentinel doctor-profile.{v.key}: {v.label}")
     print(f"appended doctor-profile entry to {history_path}")
 
     failures = []
@@ -824,7 +826,6 @@ def _run_doctor(args) -> int:
     from pathlib import Path
 
     from repro.cluster.params import MachineSpec
-    from repro.core.backend import backend_report
     from repro.costmodel import fit_constants
     from repro.faults import FaultSchedule, RetryPolicy
     from repro.filters.base import PerfScenario
@@ -850,10 +851,6 @@ def _run_doctor(args) -> int:
         seed=args.fault_seed, disk_fault_rate=args.doctor_fault_rate
     )
     retry = RetryPolicy()
-    # The live engine this installation would assimilate with: array
-    # backend (numpy unless jax/cupy is importable and selected) and the
-    # executor strategy the CLI verbs are configured for.
-    engine = backend_report()
     engine_strategy = getattr(args, "strategy", None) or "auto"
     metrics = MetricsRegistry()
     cycle_seconds = metrics.histogram("doctor.cycle_seconds")
@@ -889,9 +886,7 @@ def _run_doctor(args) -> int:
                 f"expected read inflation {inflation:.3f} "
                 f"(tuning-side factor; retries are broken out, not folded "
                 f"into the read prediction)",
-                f"engine: backend {engine['backend']} on "
-                f"{engine['device']}, executor strategy {engine_strategy} "
-                f"(available backends: {', '.join(engine['available'])})",
+                f"engine: executor strategy {engine_strategy}",
             ],
         )
 
@@ -907,7 +902,6 @@ def _run_doctor(args) -> int:
             "clean_configs": [list(c) for c in _DOCTOR_CLEAN_CONFIGS],
             "chaos_config": list(_DOCTOR_CHAOS_CONFIG),
             "disk_fault_rate": faults.disk_fault_rate,
-            "backend": engine,
             "strategy": engine_strategy,
         },
         seeds={"fault_seed": faults.seed},
@@ -936,15 +930,15 @@ def _run_doctor(args) -> int:
             for phase in ("read", "comm", "comp")
         },
     }
+    context = {
+        "schema": attribution.schema, "n_cycles": run_report.n_cycles,
+        "cpu_count": os.cpu_count(),
+    }
     verdicts = check_regression(
-        read_history(history_path, bench="doctor"), "doctor", values
+        read_history(history_path, bench="doctor"), "doctor", values,
+        context=context,
     )
-    append_history(
-        history_path,
-        "doctor",
-        values,
-        context={"schema": attribution.schema, "n_cycles": run_report.n_cycles},
-    )
+    append_history(history_path, "doctor", values, context=context)
     text, _ = sentinel_report(history_path)
     print(text)
     print()
@@ -1381,10 +1375,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="S",
         help="execution strategy for campaign/trace local analyses "
-             f"({', '.join(STRATEGIES)}; default auto).  'vectorized' "
-             "runs the batched stacked-bucket kernel — equivalent to "
-             "serial to rtol 1e-10, not bit-identical (see "
-             "docs/PERFORMANCE.md)",
+             f"({', '.join(STRATEGIES)}; default auto).  Every strategy "
+             "is bit-identical to serial (see docs/PERFORMANCE.md)",
     )
     args = parser.parse_args(argv)
 

@@ -50,7 +50,7 @@ class DistributedEnKF:
     strategy:
         Execution strategy for the owned executor (one of
         :data:`~repro.parallel.executor.STRATEGIES`, e.g.
-        ``"vectorized"``); combinable with ``workers``, mutually
+        ``"process"``); combinable with ``workers``, mutually
         exclusive with ``executor``.  Default ``None`` keeps ``"auto"``.
     geometry_cache:
         A :class:`~repro.parallel.geometry.GeometryCache` to share across

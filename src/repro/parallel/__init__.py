@@ -7,28 +7,21 @@ Three layers, composable and individually testable:
 * :mod:`repro.parallel.geometry` — memoised cycle-invariant per-piece
   geometry (observation restriction, index arrays, Cholesky stencil);
 * :mod:`repro.parallel.executor` — the strategy-selected fan-out
-  (serial / thread / process / vectorized / auto) with the S-EnKF-style
-  prefetch pipeline preparing piece ``l+1`` while piece ``l`` computes;
-* :mod:`repro.parallel.vectorized` — the batched-kernel strategy:
-  structurally equal pieces stacked into ``(B, ...)`` operands and
-  solved in one batched linalg call per shape bucket (pad-or-split),
-  against a pluggable array backend (:mod:`repro.core.backend`);
+  (serial / process / auto), the process strategy preparing chunk
+  ``k+1``'s geometry while workers compute chunk ``k``;
 * :mod:`repro.parallel.supervise` — worker supervision policies
   (deadlines, retry, respawn budgets) and the recovery accounting that
   makes the process strategy self-healing under crashed or wedged
   workers.
 
-The fan-out strategies (serial/thread/process) are bit-identical to the
-classic serial loop by construction: one numerical entry point
+Both strategies are bit-identical to the classic serial loop by
+construction: one numerical entry point
 (:func:`repro.parallel.worker.compute_piece`), randomness consumed
-before fan-out, disjoint interior writes.  The vectorized strategy
-reorders BLAS reductions and is instead held to a tolerance-checked
-equivalence contract (rtol ≤ 1e-10 against the serial reference).
+before fan-out, disjoint interior writes.
 """
 
 from repro.parallel.executor import AnalysisExecutor, AnalysisPlan, serial_executor
-from repro.parallel.geometry import BucketGeometry, GeometryCache, PieceGeometry
-from repro.parallel.vectorized import VectorizedPolicy, run_vectorized
+from repro.parallel.geometry import GeometryCache, PieceGeometry
 from repro.parallel.shared import (
     AttachedArray,
     SharedArraySpec,
@@ -48,7 +41,6 @@ __all__ = [
     "AnalysisExecutor",
     "AnalysisPlan",
     "AttachedArray",
-    "BucketGeometry",
     "DeadlinePolicy",
     "GeometryCache",
     "KIND_ENKF",
@@ -59,10 +51,8 @@ __all__ = [
     "SupervisionPolicy",
     "SupervisionReport",
     "SupervisionStats",
-    "VectorizedPolicy",
     "attach_array",
     "compute_piece",
     "piece_seconds_from_cost_model",
-    "run_vectorized",
     "serial_executor",
 ]

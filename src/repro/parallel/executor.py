@@ -1,37 +1,27 @@
-"""The parallel analysis engine: strategy-selected fan-out with prefetch.
+"""The parallel analysis engine: strategy-selected fan-out.
 
 :class:`AnalysisExecutor` runs the per-piece local analyses of an
-:class:`AnalysisPlan` under one of four strategies:
+:class:`AnalysisPlan` under one of two strategies:
 
 ``serial``
     The in-process loop — exactly the classic engine, and the reference
-    every other strategy must match bit-for-bit.
-``thread``
-    A persistent :class:`~concurrent.futures.ThreadPoolExecutor`; wins
-    when the pieces are BLAS-dominated (the solves release the GIL).
+    the process strategy must match bit-for-bit.
 ``process``
     A persistent :class:`~concurrent.futures.ProcessPoolExecutor` over
     shared-memory ensembles (:mod:`repro.parallel.shared`): workers map
     the background/observation/analysis arrays zero-copy, receive only
     piece descriptors + cached geometry, and write disjoint interior
-    rows of the shared analysis array.
+    rows of the shared analysis array.  The parent prepares chunk
+    ``k+1``'s geometry while workers compute chunk ``k`` — the paper's
+    prepare/compute overlap.
 ``auto``
     Picks one of the above from the plan's size (see :meth:`resolve`).
 
-Orthogonally, a *prefetch pipeline* (``prefetch_depth``) re-creates the
-paper's helper-thread overlap in-process: a feeder thread walks the plan
-in order, computing each upcoming piece's geometry — observation
-restriction, index arrays, modified-Cholesky stencil — through the
-:class:`~repro.parallel.geometry.GeometryCache` while the strategy
-computes the pieces already prepared.  With S-EnKF's layer-major piece
-order this is literally "stage ``l+1``'s restriction prepared while
-stage ``l`` computes".
-
-Determinism: every strategy calls the same
+Determinism: both strategies call the same
 :func:`~repro.parallel.worker.compute_piece` on the same inputs, pieces
 own disjoint interior rows, and all randomness (observation
-perturbation) is consumed *before* the plan is built — so serial, thread
-and process results are bit-identical.
+perturbation) is consumed *before* the plan is built — so serial and
+process results are bit-identical.
 
 Supervision (``supervision=``): the process strategy can run under a
 :class:`~repro.parallel.supervise.SupervisionPolicy`, which arms it
@@ -53,53 +43,31 @@ import itertools
 import math
 import os
 import pickle
-import queue
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.core.backend import ArrayBackend, get_backend
 from repro.parallel.geometry import GeometryCache, PieceGeometry
 from repro.parallel.shared import SharedEnsemble
 from repro.parallel.supervise import SupervisionPolicy, SupervisionStats
-from repro.parallel.vectorized import VectorizedPolicy, run_vectorized
-from repro.parallel.worker import KIND_ENKF, KIND_ETKF, compute_piece, run_chunk
+from repro.parallel.worker import KIND_ENKF, compute_piece, run_chunk
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.profiler import get_profiler
 from repro.telemetry.tracer import get_tracer
 
 __all__ = ["AnalysisExecutor", "AnalysisPlan", "serial_executor"]
 
-STRATEGIES = ("auto", "serial", "thread", "process", "vectorized")
+STRATEGIES = ("auto", "serial", "process")
 
-#: how long the consumer waits for the geometry-prefetch feeder thread to
-#: stop before declaring it wedged (module-level so tests can shrink it)
-_FEEDER_JOIN_TIMEOUT = 5.0
-
-#: auto-strategy ceilings on the plan's total expansion points: below the
-#: first the pool dispatch overhead beats any win (stay serial); between
-#: them the BLAS-released GIL makes threads worthwhile; above the second
-#: the Python-level modified-Cholesky loops dominate and only processes
-#: buy real concurrency.
-_SERIAL_POINTS_CEILING = 2_048
+#: auto-strategy ceiling on the plan's total expansion points: below it
+#: the pool's dispatch and shared-memory overhead beats any win (stay
+#: serial); above it the local analyses are heavy enough for processes
+#: to buy real concurrency.
 _THREAD_POINTS_CEILING = 8_192
-
-#: auto-strategy thresholds for the vectorized (batched-kernel) path: it
-#: needs enough pieces for stacking to amortise, and small-enough mean
-#: expansions that per-piece Python/BLAS-dispatch overhead — not the
-#: solves themselves — dominates the fan-out strategies.  The win is
-#: core-count independent, so this check runs before the worker check.
-_VECTORIZED_MIN_PIECES = 16
-_VECTORIZED_MEAN_POINTS_CEILING = 512
 
 
 @dataclass
@@ -127,7 +95,7 @@ class AnalysisPlan:
         return self.params.get("radius_km") if self.kind == KIND_ENKF else None
 
     def prepare(self, index: int) -> tuple[int, object, PieceGeometry]:
-        """Resolve one piece's geometry (cached); the prefetch unit."""
+        """Resolve one piece's geometry (cached)."""
         piece = self.pieces[index]
         tracer = get_tracer()
         if tracer.enabled:
@@ -149,14 +117,10 @@ class AnalysisExecutor:
     Parameters
     ----------
     strategy:
-        ``auto`` (default), ``serial``, ``thread`` or ``process``.
+        ``auto`` (default), ``serial`` or ``process``.
     workers:
         Pool width; ``None`` uses ``os.cpu_count()``.  Capped by the
         plan's piece count at run time.
-    prefetch_depth:
-        Bound on pieces prepared ahead of computation by the pipeline
-        thread; ``None`` disables the pipeline (geometry is then
-        resolved inline, still through the cache).
     chunks_per_worker:
         Process-strategy load-balance knob: pieces are submitted in
         ``workers * chunks_per_worker`` chunks so a straggler chunk
@@ -173,28 +137,15 @@ class AnalysisExecutor:
         actual recovery machinery.  Other fault classes are ignored
         here; the serial fallback path is deliberately injection-free
         (it is the recovery target).
-    backend:
-        Array backend for the vectorized strategy: an
-        :class:`~repro.core.backend.ArrayBackend`, a backend name
-        (``"numpy"``/``"jax"``/``"cupy"``/``"auto"``) or ``None`` for
-        the default resolution (``SENKF_BACKEND`` env var, else NumPy).
-        Resolved lazily on the first vectorized run, so constructing an
-        executor never imports an optional package.
-    bucket_policy:
-        :class:`~repro.parallel.vectorized.VectorizedPolicy` pad-or-split
-        knobs for the vectorized strategy's shape bucketer.
     """
 
     def __init__(
         self,
         strategy: str = "auto",
         workers: int | None = None,
-        prefetch_depth: int | None = 2,
         chunks_per_worker: int = 2,
         supervision: SupervisionPolicy | None = None,
         faults=None,
-        backend: str | ArrayBackend | None = None,
-        bucket_policy: VectorizedPolicy | None = None,
     ):
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -202,29 +153,17 @@ class AnalysisExecutor:
             )
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if prefetch_depth is not None and prefetch_depth < 1:
-            raise ValueError(
-                f"prefetch_depth must be >= 1 or None, got {prefetch_depth}"
-            )
         if chunks_per_worker < 1:
             raise ValueError(
                 f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
             )
         self.strategy = strategy
         self.workers = workers
-        self.prefetch_depth = prefetch_depth
         self.chunks_per_worker = int(chunks_per_worker)
         self.supervision = supervision
         self.faults = faults
-        self.backend = backend
-        self.bucket_policy = bucket_policy
-        self._backend_obj: ArrayBackend | None = (
-            backend if isinstance(backend, ArrayBackend) else None
-        )
         self.supervision_stats = SupervisionStats()
         self._lock = threading.Lock()
-        self._thread_pool: ThreadPoolExecutor | None = None
-        self._thread_pool_size = 0
         self._process_pool: ProcessPoolExecutor | None = None
         self._process_pool_size = 0
         self._call_counter = itertools.count()
@@ -240,30 +179,11 @@ class AnalysisExecutor:
         if self.strategy != "auto":
             return self.strategy
         n_pieces = len(plan.pieces)
-        points = sum(p.exp_size for p in plan.pieces)
-        # Batched kernels beat fan-out when many small pieces make the
-        # per-piece dispatch overhead dominate — a core-count-independent
-        # win, so it is tested before the worker-availability checks.
-        if (
-            plan.kind in (KIND_ENKF, KIND_ETKF)
-            and n_pieces >= _VECTORIZED_MIN_PIECES
-            and points <= n_pieces * _VECTORIZED_MEAN_POINTS_CEILING
-        ):
-            return "vectorized"
         if self.effective_workers(n_pieces) <= 1 or n_pieces < 2:
             return "serial"
-        if points < _SERIAL_POINTS_CEILING:
+        if sum(p.exp_size for p in plan.pieces) < _THREAD_POINTS_CEILING:
             return "serial"
-        if points < _THREAD_POINTS_CEILING:
-            return "thread"
         return "process"
-
-    def _resolve_backend(self) -> ArrayBackend:
-        """The vectorized strategy's backend (resolved once, lazily)."""
-        if self._backend_obj is None:
-            name = self.backend if isinstance(self.backend, str) else None
-            self._backend_obj = get_backend(name)
-        return self._backend_obj
 
     # -- execution -------------------------------------------------------------
     def run(self, plan: AnalysisPlan) -> int:
@@ -284,10 +204,6 @@ class AnalysisExecutor:
         ):
             if strategy == "serial":
                 self._run_serial(plan)
-            elif strategy == "thread":
-                self._run_thread(plan, workers)
-            elif strategy == "vectorized":
-                self._run_vectorized(plan)
             else:
                 self._run_process(plan, workers)
         if tracer.enabled:
@@ -295,7 +211,7 @@ class AnalysisExecutor:
             metrics.counter("parallel.runs").inc()
             metrics.counter("parallel.pieces").inc(n_pieces)
             metrics.gauge("parallel.workers").set(
-                workers if strategy not in ("serial", "vectorized") else 1
+                workers if strategy != "serial" else 1
             )
             if plan.cache is not None:
                 metrics.gauge("geometry.cache_bytes").set(
@@ -303,132 +219,28 @@ class AnalysisExecutor:
                 )
         return n_pieces
 
-    # -- prepared-piece pipeline ----------------------------------------------
-    def _iter_prepared(self, plan: AnalysisPlan):
-        """Yield prepared pieces in plan order, prefetched when configured."""
-        n = len(plan.pieces)
-        if self.prefetch_depth is None or n <= 1:
-            for i in range(n):
-                yield plan.prepare(i)
-            return
-        out: queue.Queue = queue.Queue(maxsize=self.prefetch_depth)
-        stop = threading.Event()
-        sentinel = object()
-        failure: list[BaseException] = []
-
-        def put_until_stopped(item) -> None:
-            # A plain blocking put could deadlock against a consumer that
-            # aborted with the queue full; poll the stop flag instead.
-            while not stop.is_set():
-                try:
-                    out.put(item, timeout=0.05)
-                    return
-                except queue.Full:
-                    continue
-
-        def feeder() -> None:
-            try:
-                for i in range(n):
-                    if stop.is_set():
-                        return
-                    put_until_stopped(plan.prepare(i))
-            except BaseException as exc:  # surfaced to the consumer
-                failure.append(exc)
-            finally:
-                put_until_stopped(sentinel)
-
-        thread = threading.Thread(
-            target=feeder, name="geometry-prefetch", daemon=True
-        )
-        thread.start()
-        try:
-            while True:
-                item = out.get()
-                if item is sentinel:
-                    break
-                yield item
-            if failure:
-                raise failure[0]
-        finally:
-            stop.set()
-            while True:
-                try:
-                    out.get_nowait()
-                except queue.Empty:
-                    break
-            thread.join(timeout=_FEEDER_JOIN_TIMEOUT)
-            if thread.is_alive():
-                # The feeder ignored the stop flag — plan.prepare is
-                # wedged (a hung geometry resolution).  Silently leaking
-                # the thread here means an unexplained hang at interpreter
-                # exit or the *next* run; fail loudly instead.
-                self.supervision_stats.feeder_stuck += 1
-                get_metrics().counter("parallel.feeder_stuck").inc()
-                raise RuntimeError(
-                    "geometry prefetch feeder failed to stop within "
-                    f"{_FEEDER_JOIN_TIMEOUT}s; a plan.prepare call is "
-                    "wedged (hung geometry resolution) and the thread "
-                    "would leak"
-                )
-
     # -- serial ----------------------------------------------------------------
-    def _compute_one(self, plan: AnalysisPlan, prepared) -> None:
+    @staticmethod
+    def _compute_one(plan: AnalysisPlan, prepared, out) -> None:
+        """One piece on the in-process path: same inputs, same rows."""
         index, piece, geometry = prepared
         xb = plan.states[geometry.expansion_flat]
         result = compute_piece(
             plan.kind, piece, xb, plan.obs, geometry, plan.params
         )
-        plan.out[geometry.interior_flat] = result
-
-    def _compute_one_traced(self, plan: AnalysisPlan, prepared) -> None:
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "parallel.local_analysis", category="parallel",
-                piece=prepared[0],
-            ):
-                self._compute_one(plan, prepared)
-        else:
-            self._compute_one(plan, prepared)
+        out[geometry.interior_flat] = result
 
     def _run_serial(self, plan: AnalysisPlan) -> None:
-        for prepared in self._iter_prepared(plan):
-            self._compute_one_traced(plan, prepared)
-
-    # -- vectorized (batched kernels) ------------------------------------------
-    def _run_vectorized(self, plan: AnalysisPlan) -> None:
-        """In-process batched execution; see :mod:`repro.parallel.vectorized`.
-
-        Supervision and worker-fault injection do not apply (there are
-        no workers to crash); a fault schedule's worker knobs are simply
-        inert under this strategy.
-        """
-        run_vectorized(
-            plan,
-            policy=self.bucket_policy,
-            backend=self._resolve_backend(),
-        )
-
-    # -- thread pool -----------------------------------------------------------
-    def _ensure_thread_pool(self, workers: int) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._thread_pool is None or self._thread_pool_size < workers:
-                if self._thread_pool is not None:
-                    self._thread_pool.shutdown(wait=True)
-                self._thread_pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="analysis-worker"
-                )
-                self._thread_pool_size = workers
-            return self._thread_pool
-
-    def _run_thread(self, plan: AnalysisPlan, workers: int) -> None:
-        pool = self._ensure_thread_pool(workers)
-        futures = [
-            pool.submit(self._compute_one_traced, plan, prepared)
-            for prepared in self._iter_prepared(plan)
-        ]
-        for future in futures:
-            future.result()
+        tracer = get_tracer()
+        for i in range(len(plan.pieces)):
+            prepared = plan.prepare(i)
+            if tracer.enabled:
+                with tracer.span(
+                    "parallel.local_analysis", category="parallel", piece=i,
+                ):
+                    self._compute_one(plan, prepared, plan.out)
+            else:
+                self._compute_one(plan, prepared, plan.out)
 
     # -- process pool ----------------------------------------------------------
     def _ensure_process_pool(self, workers: int) -> ProcessPoolExecutor:
@@ -487,10 +299,7 @@ class AnalysisExecutor:
             ctx_bytes = self._ctx_bytes(plan, shm_states, shm_obs, shm_out, tracer)
             # Prepare inline on this thread, submitting each chunk as it
             # fills: workers compute chunk k while the parent prepares
-            # chunk k+1 — the same prepare/compute overlap the prefetch
-            # thread gives the other strategies, but with no extra Python
-            # thread alive while the pool forks its workers (forking a
-            # process whose threads are mid-BLAS can deadlock the child).
+            # chunk k+1.
             chunk: list = []
             for i in range(n):
                 chunk.append(plan.prepare(i))
@@ -541,15 +350,6 @@ class AnalysisExecutor:
                 except Exception:  # already dead / not a Process
                     pass
         pool.shutdown(wait=True, cancel_futures=True)
-
-    def _compute_serial_into(self, plan: AnalysisPlan, prepared, out) -> None:
-        """The per-piece serial fallback: same inputs, same rows, any array."""
-        index, piece, geometry = prepared
-        xb = plan.states[geometry.expansion_flat]
-        result = compute_piece(
-            plan.kind, piece, xb, plan.obs, geometry, plan.params
-        )
-        out[geometry.interior_flat] = result
 
     def _run_process_supervised(self, plan: AnalysisPlan, workers: int) -> None:
         """Process fan-out that survives crashed and wedged workers.
@@ -699,7 +499,7 @@ class AnalysisExecutor:
                 if backoff > 0.0:
                     time.sleep(backoff)
             for i in exhausted:
-                self._compute_serial_into(plan, prepared[i], out)
+                self._compute_one(plan, prepared[i], out)
                 pending.discard(i)
             if exhausted:
                 stats.serial_fallback_pieces += len(exhausted)
@@ -740,13 +540,9 @@ class AnalysisExecutor:
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the persistent pools (idempotent)."""
+        """Shut down the persistent pool (idempotent)."""
         self._closed = True
         with self._lock:
-            if self._thread_pool is not None:
-                self._thread_pool.shutdown(wait=True)
-                self._thread_pool = None
-                self._thread_pool_size = 0
             if self._process_pool is not None:
                 self._process_pool.shutdown(wait=True)
                 self._process_pool = None
@@ -767,7 +563,5 @@ def serial_executor() -> AnalysisExecutor:
     """The shared pool-free executor backing the filters' default path."""
     global _serial_singleton
     if _serial_singleton is None:
-        _serial_singleton = AnalysisExecutor(
-            strategy="serial", prefetch_depth=None
-        )
+        _serial_singleton = AnalysisExecutor(strategy="serial")
     return _serial_singleton

@@ -13,7 +13,8 @@ recomputed for nothing:
 * the modified-Cholesky conditional-dependence stencil
   (:func:`~repro.core.cholesky.neighbour_predecessors` — the O(n̄²)
   sparsity pattern of ``B̂⁻¹``, which depends only on coordinates and the
-  localization radius).
+  localization radius) and its row-group plan
+  (:class:`~repro.core.cholesky.RowGroups`).
 
 :class:`GeometryCache` memoises all of it per ``(network, grid, piece,
 radius)`` key into a :class:`PieceGeometry`, which the executor ships to
@@ -30,24 +31,24 @@ bounds the entry count with oldest-first eviction.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from repro.core.cholesky import neighbour_predecessors
+from repro.core.cholesky import RowGroups, neighbour_predecessors
 from repro.core.domain import SubDomain
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.tracer import get_tracer
 
-__all__ = ["BucketGeometry", "GeometryCache", "PieceGeometry"]
+__all__ = ["GeometryCache", "PieceGeometry"]
 
 
 def _value_nbytes(value) -> int:
-    """Array bytes of one field value: ndarray, CSR matrix, or a
-    list/tuple of either; everything else counts zero."""
+    """Array bytes of one field value: ndarray, CSR matrix, a nested
+    dataclass (the Cholesky row groups), or a list/tuple of any of them;
+    everything else counts zero."""
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     if hasattr(value, "data") and hasattr(value, "indices") and hasattr(
@@ -58,6 +59,8 @@ def _value_nbytes(value) -> int:
         )
     if isinstance(value, (list, tuple)):
         return sum(_value_nbytes(item) for item in value)
+    if is_dataclass(value):
+        return _geometry_nbytes(value)
     return 0
 
 
@@ -90,71 +93,9 @@ class PieceGeometry:
     #: modified-Cholesky predecessor stencil (None when not requested or
     #: when the piece sees no observations)
     predecessors: list[np.ndarray] | None = None
-    #: structural digest of (expansion size, interior projection) — two
-    #: pieces with equal digests can be stacked into one batched update
-    interior_sig: str = ""
-    #: structural digest of the predecessor stencil ("" when absent);
-    #: batching the modified Cholesky additionally requires equal stencils
-    stencil_sig: str = ""
-
-
-@dataclass(frozen=True)
-class BucketGeometry:
-    """Stacked, padded geometry for one batch of structurally equal pieces.
-
-    Built (and cached) by :meth:`GeometryCache.get_bucket` from pieces
-    whose :attr:`PieceGeometry.interior_sig` (and, for the EnKF kind,
-    :attr:`PieceGeometry.stencil_sig`) agree — so every per-piece array
-    stacks into a dense ``(B, ...)`` operand.  Observation counts may
-    differ inside a bucket; shorter pieces are padded to ``m_max`` with
-    *exact no-op* slots (zero ``H`` rows, unit ``R``, masked-to-zero
-    observations) and the waste is recorded for the
-    ``vectorized.pad_waste`` metric.
-    """
-
-    #: piece indices (into the originating plan) in stack order
-    plan_indices: tuple[int, ...]
-    #: (B, n̄) gather: global flat state rows of each piece's expansion
-    exp_index: np.ndarray
-    #: concatenated interior flat rows (B·n_int,) — the scatter target
-    interior_flat_cat: np.ndarray
-    #: shared interior positions inside the expansion (n_int,)
-    interior_positions: np.ndarray
-    #: dense stacked local operators (B, m_max, n̄)
-    h_dense: np.ndarray
-    #: stacked R diagonals, padded with 1.0 (B, m_max)
-    r_diag: np.ndarray
-    #: gather into the global observation vector, padded with 0 (B, m_max)
-    obs_index: np.ndarray
-    #: 1.0 on real observation slots, 0.0 on pad slots (B, m_max)
-    obs_mask: np.ndarray
-    #: real observation count per piece (B,)
-    obs_counts: np.ndarray
-    #: shared modified-Cholesky stencil (None for the ETKF kind)
-    predecessors: list[np.ndarray] | None
-    #: padded-out slots (sum over pieces of m_max − m̄_b)
-    pad_slots: int
-
-    @property
-    def n_batch(self) -> int:
-        return len(self.plan_indices)
-
-    @property
-    def total_slots(self) -> int:
-        """Observation slots in the stacked operands (B · m_max)."""
-        return int(self.r_diag.size)
-
-    @property
-    def pad_waste(self) -> float:
-        """Padded fraction of the stacked observation slots."""
-        return self.pad_slots / self.total_slots if self.total_slots else 0.0
-
-
-def _digest(*chunks: bytes) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for chunk in chunks:
-        h.update(chunk)
-    return h.hexdigest()
+    #: the stencil's rows grouped by predecessor count (the batched
+    #: regression plan of the modified Cholesky; None with ``predecessors``)
+    row_groups: RowGroups | None = None
 
 
 class GeometryCache:
@@ -249,133 +190,23 @@ class GeometryCache:
             piece.exp_x_indices, piece.exp_y_indices
         )
         exp_ix, exp_iy = piece.expansion_coords
-        predecessors = None
-        stencil_sig = ""
+        predecessors = row_groups = None
         if radius_km is not None and obs_positions.size:
             predecessors = neighbour_predecessors(
                 piece.grid, exp_ix, exp_iy, radius_km
             )
-            stencil_sig = _digest(
-                *(np.ascontiguousarray(p, dtype=np.int64).tobytes()
-                  for p in predecessors),
-                np.asarray([p.size for p in predecessors],
-                           dtype=np.int64).tobytes(),
-            )
-        interior = piece.interior_positions_in_expansion
-        interior_sig = _digest(
-            np.asarray([piece.exp_size], dtype=np.int64).tobytes(),
-            np.ascontiguousarray(interior, dtype=np.int64).tobytes(),
-        )
+            row_groups = RowGroups.from_predecessors(predecessors)
         return PieceGeometry(
             obs_positions=obs_positions,
             h_local=h_local,
             r_diag=np.full(obs_positions.size, network.obs_error_std**2),
             expansion_flat=piece.expansion_flat,
             interior_flat=piece.interior_flat,
-            interior_positions=interior,
+            interior_positions=piece.interior_positions_in_expansion,
             exp_ix=exp_ix,
             exp_iy=exp_iy,
             predecessors=predecessors,
-            interior_sig=interior_sig,
-            stencil_sig=stencil_sig,
-        )
-
-    # -- stacked buckets -------------------------------------------------------
-    def get_bucket(
-        self,
-        network,
-        items: list[tuple[int, SubDomain, PieceGeometry]],
-        radius_km: float | None = None,
-    ) -> tuple[BucketGeometry, bool]:
-        """``(bucket, was_cached)`` for one batch of prepared pieces.
-
-        ``items`` are ``(plan_index, piece, geometry)`` triples whose
-        structural signatures agree (the caller — the vectorized
-        strategy's bucketer — guarantees this; it is re-checked here).
-        The stacked arrays depend only on the geometry, so the entry is
-        cached under the same network/grid identity rules as per-piece
-        entries, keyed by the structural piece keys in stack order.
-        """
-        if not items:
-            raise ValueError("cannot build a bucket from zero pieces")
-        first_geo = items[0][2]
-        for _, _, geo in items[1:]:
-            if (
-                geo.interior_sig != first_geo.interior_sig
-                or geo.stencil_sig != first_geo.stencil_sig
-            ):
-                raise ValueError(
-                    "bucketed pieces must share structural signatures"
-                )
-        key = (
-            "bucket",
-            self._token(network),
-            self._token(items[0][1].grid),
-            tuple(self._piece_key(piece) for _, piece, _ in items),
-            float(radius_km) if radius_km is not None else None,
-        )
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-        if cached is not None:
-            if get_tracer().enabled:
-                get_metrics().counter("geometry.cache_hits").inc()
-            # plan indices are call-specific; rebind them on the hit
-            if cached.plan_indices != tuple(i for i, _, _ in items):
-                from dataclasses import replace
-
-                cached = replace(
-                    cached, plan_indices=tuple(i for i, _, _ in items)
-                )
-            return cached, True
-        bucket = self._build_bucket(items)
-        with self._lock:
-            self.misses += 1
-            self._entries[key] = bucket
-            if self.maxsize is not None:
-                while len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
-        if get_tracer().enabled:
-            get_metrics().counter("geometry.cache_misses").inc()
-        return bucket, False
-
-    @staticmethod
-    def _build_bucket(
-        items: list[tuple[int, SubDomain, PieceGeometry]],
-    ) -> BucketGeometry:
-        geos = [geo for _, _, geo in items]
-        n_exp = geos[0].expansion_flat.size
-        m_max = max(int(g.obs_positions.size) for g in geos)
-        n_batch = len(geos)
-        exp_index = np.stack([g.expansion_flat for g in geos])
-        interior_flat_cat = np.concatenate([g.interior_flat for g in geos])
-        h_dense = np.zeros((n_batch, m_max, n_exp))
-        r_diag = np.ones((n_batch, m_max))
-        obs_index = np.zeros((n_batch, m_max), dtype=np.int64)
-        obs_mask = np.zeros((n_batch, m_max))
-        obs_counts = np.empty(n_batch, dtype=np.int64)
-        for b, g in enumerate(geos):
-            m = int(g.obs_positions.size)
-            obs_counts[b] = m
-            if m:
-                h_dense[b, :m, :] = g.h_local.toarray()
-                r_diag[b, :m] = g.r_diag
-                obs_index[b, :m] = g.obs_positions
-                obs_mask[b, :m] = 1.0
-        return BucketGeometry(
-            plan_indices=tuple(i for i, _, _ in items),
-            exp_index=exp_index,
-            interior_flat_cat=interior_flat_cat,
-            interior_positions=geos[0].interior_positions,
-            h_dense=h_dense,
-            r_diag=r_diag,
-            obs_index=obs_index,
-            obs_mask=obs_mask,
-            obs_counts=obs_counts,
-            predecessors=geos[0].predecessors,
-            pad_slots=int(sum(m_max - int(g.obs_positions.size) for g in geos)),
+            row_groups=row_groups,
         )
 
     # -- maintenance -----------------------------------------------------------
@@ -390,9 +221,9 @@ class GeometryCache:
         byte-side view the resource observatory exports as the
         ``geometry_cache_bytes`` gauge and the footprint model counts as
         a measured component.  Sums every ndarray field of every entry —
-        including CSR matrices (data/indices/indptr) and per-point
-        predecessor lists — and ignores scalars/signatures, whose bytes
-        are noise next to the arrays.
+        including CSR matrices (data/indices/indptr), per-point
+        predecessor lists and the Cholesky row-group plan — and ignores
+        scalars, whose bytes are noise next to the arrays.
         """
         with self._lock:
             entries = list(self._entries.values())

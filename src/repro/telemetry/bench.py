@@ -8,15 +8,19 @@ module turns them into a trajectory:
 * every bench appends one schema-versioned JSON line to a shared
   ``BENCH_history.jsonl`` (:func:`append_history`);
 * :func:`check_regression` compares a fresh sample against a robust
-  baseline — the median ± MAD of the last ``k`` recorded samples — and
-  emits a pass/warn/fail :class:`SentinelVerdict` per metric;
+  baseline — the median ± MAD of the last ``k`` samples recorded on the
+  same host fingerprint — and emits a pass/warn/fail/no-baseline
+  :class:`SentinelVerdict` per metric;
 * :func:`sentinel_report` renders the latest entry of every bench next
   to its baseline for the ``senkf-experiments bench-report`` CLI verb,
   and the ``bench-sentinel`` CI job fails the build on a ``fail``.
 
 Median/MAD (not mean/stddev) so one noisy CI run cannot poison the
 baseline, with a relative floor so a perfectly flat history doesn't turn
-the sentinel into a zero-tolerance tripwire.
+the sentinel into a zero-tolerance tripwire.  Baselines never pool hosts:
+only entries whose :func:`host_fingerprint` (cpu count, smoke flag)
+matches the fresh sample's feed its baseline, and a metric without
+enough of them is reported as ``no-baseline`` — never as a pass.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "SentinelVerdict",
     "append_history",
     "check_regression",
+    "host_fingerprint",
     "read_history",
     "robust_baseline",
     "sentinel_report",
@@ -51,6 +56,24 @@ DEFAULT_FAIL_MADS = 6.0
 RELATIVE_FLOOR = 0.10
 #: minimum history size before the sentinel renders real verdicts.
 MIN_HISTORY = 3
+#: verdict severities, mildest first (the overall verdict is the worst).
+_SEVERITY = ("pass", "no-baseline", "warn", "fail")
+
+
+def _label(status: str) -> str:
+    """Upper-case display form of a status (``PASS``, ``NO BASELINE``)."""
+    return status.replace("-", " ").upper()
+
+
+def host_fingerprint(context: dict | None) -> tuple:
+    """The part of an entry's context that makes timings comparable.
+
+    ``cpu_count`` and the ``smoke`` flag: a 2-core smoke run and a
+    16-core full run of the same bench are different baselines.
+    Entries that never recorded them share the ``(None, False)`` print.
+    """
+    context = context or {}
+    return context.get("cpu_count"), bool(context.get("smoke", False))
 
 
 @dataclass(frozen=True)
@@ -177,7 +200,7 @@ class SentinelVerdict:
 
     bench: str
     key: str
-    status: str  # "pass" | "warn" | "fail"
+    status: str  # "pass" | "warn" | "fail" | "no-baseline"
     current: float
     median: float | None = None
     mad: float | None = None
@@ -188,6 +211,10 @@ class SentinelVerdict:
     def ok(self) -> bool:
         return self.status != "fail"
 
+    @property
+    def label(self) -> str:
+        return _label(self.status)
+
 
 def check_regression(
     history: Sequence[BenchEntry],
@@ -197,35 +224,42 @@ def check_regression(
     warn_mads: float = DEFAULT_WARN_MADS,
     fail_mads: float = DEFAULT_FAIL_MADS,
     min_history: int = MIN_HISTORY,
+    context: dict | None = None,
 ) -> list[SentinelVerdict]:
     """Verdict per metric of ``values`` against the trailing baseline.
 
     The baseline for each key is median ± MAD over the last ``window``
-    history entries of ``bench`` that carry the key (the fresh sample is
-    *not* part of its own baseline).  A value above
+    history entries of ``bench`` that carry the key and whose
+    :func:`host_fingerprint` matches the fresh sample's ``context`` (the
+    fresh sample is *not* part of its own baseline).  A value above
     ``median + warn_mads·band`` warns, above ``median + fail_mads·band``
     fails, where ``band = max(MAD, RELATIVE_FLOOR·|median|)``.  Values
     *below* the baseline never fail — faster is not a regression.  With
-    fewer than ``min_history`` prior samples the verdict passes with an
-    "insufficient history" note so new benches can seed their trajectory.
+    fewer than ``min_history`` matching samples the status is
+    ``no-baseline`` (with an "insufficient history" note): a new bench or
+    host seeds its trajectory without a verdict it has not earned.
     """
     if warn_mads > fail_mads:
         raise ValueError(
             f"warn_mads ({warn_mads}) must be <= fail_mads ({fail_mads})"
         )
     verdicts: list[SentinelVerdict] = []
-    mine = [e for e in history if e.bench == bench]
+    host = host_fingerprint(context)
+    mine = [
+        e for e in history
+        if e.bench == bench and host_fingerprint(e.context) == host
+    ]
     for key, current in sorted(values.items()):
         current = float(current)
         samples = [e.values[key] for e in mine if key in e.values][-window:]
         if len(samples) < min_history:
             verdicts.append(
                 SentinelVerdict(
-                    bench=bench, key=key, status="pass", current=current,
-                    n_history=len(samples),
+                    bench=bench, key=key, status="no-baseline",
+                    current=current, n_history=len(samples),
                     reason=(
-                        f"insufficient history ({len(samples)} < "
-                        f"{min_history} samples)"
+                        f"insufficient history: {len(samples)} of "
+                        f"{min_history} samples on this host fingerprint"
                     ),
                 )
             )
@@ -287,6 +321,7 @@ def sentinel_report(
         verdicts = check_regression(
             prior, bench, latest.values,
             window=window, warn_mads=warn_mads, fail_mads=fail_mads,
+            context=latest.context,
         )
         all_verdicts.extend(verdicts)
         # Memory column: the bench's latest recorded peak RSS, shown on
@@ -298,15 +333,11 @@ def sentinel_report(
             lines.append(
                 f"  {bench:<28} {v.key:<18} {v.current:>10.4g} {median:>10} "
                 f"{v.n_history:>3} {(rss_text if i == 0 else ''):>9}  "
-                f"{v.status.upper()}"
+                f"{v.label}"
                 + (f" ({v.reason})" if v.status != "pass" else "")
             )
-    worst = "pass"
-    for v in all_verdicts:
-        if v.status == "fail":
-            worst = "fail"
-            break
-        if v.status == "warn":
-            worst = "warn"
-    lines.append(f"  overall: {worst.upper()}")
+    worst = max(
+        (v.status for v in all_verdicts), key=_SEVERITY.index, default="pass"
+    )
+    lines.append(f"  overall: {_label(worst)}")
     return "\n".join(lines), all_verdicts

@@ -1,5 +1,6 @@
 """Tests for the bench regression sentinel (append-only history, robust
-baselines, pass/warn/fail verdicts)."""
+baselines, pass/warn/fail/no-baseline verdicts, host-fingerprint keying)
+and for the old payloads that must keep loading."""
 
 import json
 import math
@@ -8,13 +9,14 @@ import pytest
 
 from repro.telemetry import (
     BENCH_HISTORY_SCHEMA,
+    RunReport,
     append_history,
     check_regression,
     read_history,
     robust_baseline,
     sentinel_report,
 )
-from repro.telemetry.bench import BenchEntry
+from repro.telemetry.bench import BenchEntry, host_fingerprint
 
 
 class TestHistoryFile:
@@ -115,11 +117,52 @@ class TestCheckRegression:
         (v,) = check_regression(history, "b", {"wall_seconds": 1.05})
         assert v.status == "pass"
 
-    def test_insufficient_history_passes_with_note(self):
+    def test_insufficient_history_reports_no_baseline(self):
         history = entries("b", [1.0, 1.0])
         (v,) = check_regression(history, "b", {"wall_seconds": 99.0})
-        assert v.status == "pass"
+        assert v.status == "no-baseline" and v.ok
+        assert v.label == "NO BASELINE"
         assert "insufficient history" in v.reason
+        assert v.median is None
+
+    def test_empty_history_is_no_baseline_not_pass(self):
+        (v,) = check_regression([], "b", {"wall_seconds": 1.0})
+        assert v.status == "no-baseline"
+        assert v.n_history == 0
+
+    def test_baseline_only_pools_matching_host_fingerprint(self):
+        """Samples from another core count or the other smoke mode never
+        feed the baseline."""
+        fast_host = [
+            BenchEntry(bench="b", values={"wall_seconds": 0.1},
+                       context={"cpu_count": 16, "smoke": False})
+            for _ in range(5)
+        ]
+        smoke_runs = [
+            BenchEntry(bench="b", values={"wall_seconds": 0.1},
+                       context={"cpu_count": 2, "smoke": True})
+            for _ in range(5)
+        ]
+        here = {"cpu_count": 2, "smoke": False}
+        (v,) = check_regression(
+            fast_host + smoke_runs, "b", {"wall_seconds": 1.0}, context=here
+        )
+        assert v.status == "no-baseline"
+        same_host = [
+            BenchEntry(bench="b", values={"wall_seconds": s}, context=here)
+            for s in (1.0, 1.01, 0.99)
+        ]
+        (v,) = check_regression(
+            fast_host + same_host + smoke_runs, "b", {"wall_seconds": 1.0},
+            context=here,
+        )
+        assert v.status == "pass" and v.n_history == 3
+        assert v.median == pytest.approx(1.0)
+
+    def test_fingerprint_ignores_other_context(self):
+        assert host_fingerprint({"cpu_count": 2, "cycles": 5}) == (2, False)
+        assert host_fingerprint(None) == (None, False)
+        assert host_fingerprint({"smoke": True}) == (None, True)
 
     def test_window_drops_stale_samples(self):
         """Only the trailing window feeds the baseline: an old fast era
@@ -159,6 +202,25 @@ class TestSentinelReport:
         assert "overall: PASS" in text
         assert {v.bench for v in verdicts} == {"a", "b"}
 
+    def test_single_entry_renders_no_baseline(self, tmp_path):
+        path = tmp_path / "history.jsonl"
+        append_history(path, "doctor", {"wall_seconds": 1.0})
+        text, (v,) = sentinel_report(path)
+        assert v.status == "no-baseline"
+        assert "NO BASELINE" in text
+        assert "overall: NO BASELINE" in text
+        assert "PASS" not in text
+
+    def test_report_keys_baseline_on_latest_fingerprint(self, tmp_path):
+        path = tmp_path / "history.jsonl"
+        for value in (1.0, 1.0, 1.0):
+            append_history(path, "p", {"x": value},
+                           context={"cpu_count": 1, "smoke": True})
+        append_history(path, "p", {"x": 9.0},
+                       context={"cpu_count": 8, "smoke": True})
+        text, (v,) = sentinel_report(path)
+        assert v.status == "no-baseline"  # not a FAIL against 1-core runs
+
     def test_empty_history_renders_placeholder(self, tmp_path):
         text, verdicts = sentinel_report(tmp_path / "none.jsonl")
         assert "no entries" in text
@@ -178,3 +240,88 @@ class TestSentinelReport:
         # A bench that never recorded memory renders the placeholder.
         old_rows = [ln for ln in text.splitlines() if ln.lstrip().startswith("old")]
         assert old_rows and " - " in old_rows[0] + " "
+
+
+class TestPayloadCompat:
+    """Files written by older engines — which recorded an executor
+    strategy, an array backend, a vectorized cost constant or a feeder
+    watchdog counter — still load; the stale values are ignored."""
+
+    def test_bench_history_roundtrips_strategy_context(self, tmp_path):
+        path = tmp_path / "hist.jsonl"
+        append_history(
+            path, "parallel",
+            {"vectorized_warm_seconds": 0.1, "serial_warm_seconds": 0.3},
+            context={
+                "backend": "numpy", "strategy": "vectorized",
+                "speedup_asserted": True, "cpu_count": 1,
+            },
+        )
+        (entry,) = read_history(path)
+        assert entry.context["backend"] == "numpy"
+        assert entry.context["speedup_asserted"] is True
+        assert entry.values["vectorized_warm_seconds"] == 0.1
+
+    def test_bench_history_reader_tolerates_old_and_odd_lines(self, tmp_path):
+        """Old entries without the new fields and newer entries carrying
+        extra top-level keys must both read back without KeyError."""
+        path = tmp_path / "hist.jsonl"
+        old_line = {
+            "schema": "senkf-bench-history/1", "bench": "parallel",
+            "timestamp": 1.0,
+            "values": {"serial_warm_seconds": 0.5},
+            "context": {},
+        }
+        new_line = {
+            "schema": "senkf-bench-history/1", "bench": "parallel",
+            "timestamp": 2.0,
+            "values": {
+                "serial_warm_seconds": 0.4,
+                "backend": "numpy",  # non-numeric: dropped, not fatal
+            },
+            "context": {"strategy": "vectorized"},
+            "strategy": "vectorized",  # unknown top-level key: ignored
+        }
+        path.write_text(
+            json.dumps(old_line) + "\n" + json.dumps(new_line) + "\n"
+        )
+        entries = read_history(path, bench="parallel")
+        assert len(entries) == 2
+        assert entries[0].context == {}
+        assert entries[1].values == {"serial_warm_seconds": 0.4}
+        assert entries[1].context["strategy"] == "vectorized"
+
+    def test_run_report_with_old_engine_fields_loads(self):
+        payload = RunReport(
+            kind="doctor",
+            config={"strategy": "vectorized",
+                    "backend": {"backend": "numpy", "device": "cpu"}},
+            supervision={"restarts": 0, "feeder_stuck": 1},
+        ).to_dict()
+        payload = json.loads(json.dumps(payload))
+        report = RunReport.from_dict(payload)
+        assert report.config["strategy"] == "vectorized"
+        assert report.supervision["feeder_stuck"] == 1
+
+    def test_calibration_with_c_vectorized_loads(self):
+        """An attribution (calibration) payload whose fitted constants
+        carry ``c_vectorized`` still validates; the cost model no longer
+        has the field."""
+        from dataclasses import fields
+
+        from repro.costmodel import CostParams
+        from repro.telemetry import (
+            AttributionReport,
+            validate_attribution_report,
+        )
+
+        constants = {"a": 1e-6, "b": 1e-9, "c": 2e-6, "theta": 1e-9,
+                     "c_vectorized": 5e-7}
+        payload = json.loads(AttributionReport(
+            cycles=[], constants=dict(constants),
+            fit={"n_observations": 1, "constants": dict(constants),
+                 "residuals": {}},
+        ).to_json())
+        assert validate_attribution_report(payload) is payload
+        assert payload["fit"]["constants"]["c_vectorized"] == 5e-7
+        assert "c_vectorized" not in {f.name for f in fields(CostParams)}

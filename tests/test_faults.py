@@ -694,3 +694,25 @@ class TestScheduleSerialisation:
         assert rebuilt.worker_hang_rate == 0.0
         assert not rebuilt.has_worker_faults
         assert rebuilt == FaultSchedule(9, disk_fault_rate=0.1)
+
+
+class TestPayloadCompat:
+    """Schedules written by older engines (which annotated the executor
+    strategy and array backend alongside the fault knobs) still load."""
+
+    def test_fault_schedule_ignores_engine_metadata(self):
+        fs = FaultSchedule(seed=3, disk_fault_rate=0.1)
+        data = fs.to_dict()
+        data["strategy"] = "vectorized"
+        data["backend"] = "numpy"
+        assert FaultSchedule.from_dict(data) == fs
+        # Round-trip the other way: serialized new-style, rebuilt, equal.
+        assert FaultSchedule.from_dict(
+            FaultSchedule.from_dict(data).to_dict()
+        ) == fs
+
+    def test_fault_schedule_still_rejects_unknown_fault_fields(self):
+        data = FaultSchedule(seed=3).to_dict()
+        data["quantum_fault_rate"] = 0.5
+        with pytest.raises(ValueError, match="unknown FaultSchedule"):
+            FaultSchedule.from_dict(data)

@@ -1,7 +1,7 @@
 """Tests for the parallel analysis engine (:mod:`repro.parallel`).
 
 The load-bearing guarantee is *bit-identity*: every execution strategy —
-serial loop, thread pool, process pool over shared memory — must produce
+serial loop, process pool over shared memory — must produce
 byte-for-byte the same analysis as the classic serial engine, for every
 filter kind (DistributedEnKF, layered S-EnKF, LETKF), including the
 degenerate configurations (one worker, more workers than pieces,
@@ -32,7 +32,7 @@ from repro.parallel import (
 )
 from repro.telemetry import MetricsRegistry, Tracer, use_metrics, use_tracer
 
-STRATEGIES = ("serial", "thread", "process")
+STRATEGIES = ("serial", "process")
 
 
 def problem(n_x=16, n_y=8, n_members=12, m=40, seed=0):
@@ -201,8 +201,6 @@ class TestExecutorConfig:
             AnalysisExecutor(strategy="gpu")
         with pytest.raises(ValueError):
             AnalysisExecutor(workers=0)
-        with pytest.raises(ValueError):
-            AnalysisExecutor(prefetch_depth=0)
 
     def test_closed_executor_refuses_work(self):
         ex = AnalysisExecutor(strategy="serial")
