@@ -379,106 +379,60 @@ _DOCTOR_CLEAN_CONFIGS = (
 _DOCTOR_CHAOS_CONFIG = (4, 4, 3, 4)
 
 
-def _render_report_supervision(path, threshold: float = 0.15) -> int:
-    """``doctor --run-report``: the supervision panel of an existing report.
+def _render_report(path, threshold: float = 0.15) -> int:
+    """``doctor --report PATH``: every panel a report artifact carries.
 
-    Reads and validates a :class:`~repro.telemetry.RunReport` JSON
-    artifact (e.g. the one a supervised campaign or the chaos benchmark
-    wrote) and renders its recovery rollup.  Exit status 1 when recovery
-    spend exceeds ``threshold`` of the campaign's wall time — the panel
-    doubles as a CI tripwire for recovery-heavy runs.
+    Loads any of the five report schemas (the ``schema`` id in the file
+    picks the table) and renders the supervision panel, the service
+    billing dashboard, the health panel and the attribution dashboard
+    wherever the payload has them.  Exit status 1 on any tripwire —
+    recovery spend above ``threshold`` of wall time, a failed service
+    job, or a critical health alert — so the panel doubles as a CI gate.
     """
-    import json
-    from pathlib import Path
+    from repro.service.report import render_service_report
+    from repro.telemetry import (
+        AttributionReport, render_health, render_supervision,
+    )
+    from repro.telemetry.schema import (
+        ATTRIBUTION_SCHEMA, HEALTH_SCHEMA, SERVICE_REPORT_SCHEMA, load_report,
+    )
 
-    from repro.telemetry import render_supervision, validate_run_report
-
-    payload = validate_run_report(json.loads(Path(path).read_text()))
+    payload = load_report(path)
+    schema = payload["schema"]
+    panels, trips = [], []
     supervision = payload.get("supervision")
-    if supervision is None:
-        print(
-            f"{path}: no supervision section "
-            "(campaign was not run under supervise())"
-        )
-        return 0
-    print(render_supervision(supervision, threshold=threshold))
-    flagged = float(supervision.get("recovery_fraction", 0.0)) > threshold
-    if flagged:
-        print(
-            f"recovery spend above {100 * threshold:.0f}% of wall time; "
-            "inspect the fault regime or raise the budgets",
-            file=sys.stderr,
-        )
-    return 1 if flagged else 0
-
-
-def _render_service_report_panel(path) -> int:
-    """``doctor --service-report``: the service dashboard of a report.
-
-    Reads and validates a ``senkf-service-report/1`` artifact (written
-    by ``serve``/``submit`` or :meth:`AssimilationService.report`) and
-    renders the tenant billing table plus the queue-wait /
-    slot-utilization histogram percentiles.  Exit status 1 when any job
-    failed — the panel doubles as a CI tripwire.
-    """
-    import json
-    from pathlib import Path
-
-    from repro.service.report import (
-        render_service_report,
-        validate_service_report,
+    if supervision is not None:
+        panels.append(render_supervision(supervision, threshold=threshold))
+        if float(supervision.get("recovery_fraction", 0.0)) > threshold:
+            trips.append(
+                f"recovery spend above {100 * threshold:.0f}% of wall time; "
+                "inspect the fault regime or raise the budgets"
+            )
+    if schema == SERVICE_REPORT_SCHEMA:
+        panels.append(render_service_report(payload))  # includes health
+        failed = sum(u["failed"] for u in payload["tenants"].values())
+        if failed:
+            trips.append(f"{failed} job(s) failed")
+    health = payload if schema == HEALTH_SCHEMA else payload.get("health")
+    if health is not None:
+        if schema != SERVICE_REPORT_SCHEMA:
+            panels.append(render_health(health))
+        critical = sum(a["severity"] == "critical" for a in health["alerts"])
+        if critical:
+            trips.append(
+                f"{critical} critical alert(s) fired; "
+                "inspect the filter configuration or the flight dump"
+            )
+    attribution = (
+        payload if schema == ATTRIBUTION_SCHEMA else payload.get("attribution")
     )
-
-    payload = validate_service_report(json.loads(Path(path).read_text()))
-    print(render_service_report(payload))
-    failed = sum(u["failed"] for u in payload["tenants"].values())
-    if failed:
-        print(f"{failed} job(s) failed", file=sys.stderr)
-    return 1 if failed else 0
-
-
-def _render_health_panel(path) -> int:
-    """``doctor --health``: the health panel of a report artifact.
-
-    Accepts a run report, a service report, or a bare
-    ``senkf-health/1`` payload (e.g. a flight dump's report slice) and
-    renders the alert-rule panel.  Exit status 1 when any *critical*
-    alert fired — the panel doubles as a CI tripwire for filter
-    divergence.
-    """
-    import json
-    from pathlib import Path
-
-    from repro.telemetry.health import (
-        HEALTH_SCHEMA,
-        render_health,
-        validate_health_report,
-    )
-
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") == HEALTH_SCHEMA:
-        health = payload
-    else:
-        health = payload.get("health")
-    if health is None:
-        print(
-            f"{path}: no health section "
-            "(run had no HealthProbe attached)"
-        )
-        return 0
-    validate_health_report(health)
-    print(render_health(health))
-    critical = [
-        a for a in health.get("alerts", [])
-        if a.get("severity") == "critical"
-    ]
-    if critical:
-        print(
-            f"{len(critical)} critical alert(s) fired; "
-            "inspect the filter configuration or the flight dump",
-            file=sys.stderr,
-        )
-    return 1 if critical else 0
+    if attribution is not None:
+        panels.append(AttributionReport.from_dict(attribution).ascii_table())
+    print("\n\n".join(panels) or f"{path}: no supervision, service, "
+          "health or attribution section")
+    for trip in trips:
+        print(trip, file=sys.stderr)
+    return 1 if trips else 0
 
 
 def _run_doctor_profile(args) -> int:
@@ -522,7 +476,7 @@ def _run_doctor_profile(args) -> int:
         use_metrics,
         use_profiler,
         use_tracer,
-        write_profile_report,
+        write_report,
     )
     from repro.util.timing import WallTimer
 
@@ -662,7 +616,7 @@ def _run_doctor_profile(args) -> int:
         sampler=sampler_slice, memory=memory_slice, footprint=footprint,
         notes=notes,
     )
-    profile_path = write_profile_report(payload, out / "profile.json")
+    profile_path = write_report(payload, out / "profile.json")
     collapsed_path = profiler.write_collapsed(out / "profile.collapsed")
     speedscope_path = profiler.write_speedscope(
         out / "profile.speedscope.json"
@@ -808,18 +762,13 @@ def _run_doctor(args) -> int:
     with drift flags, writes the schema-validated ``attribution.json``
     and a :class:`~repro.telemetry.RunReport` embedding it, and appends
     the run to the bench regression sentinel's history.  With
-    ``--run-report PATH`` it instead renders the supervision panel of an
-    existing report and exits; with ``--service-report PATH`` the
-    service dashboard of a serving session; with ``--profile`` the
+    ``--report PATH`` it instead renders the panels of an existing report
+    artifact and exits (:func:`_render_report`); with ``--profile`` the
     resource observatory over a *real* profiled campaign
     (:func:`_run_doctor_profile`).
     """
-    if args.run_report:
-        return _render_report_supervision(args.run_report)
-    if args.service_report:
-        return _render_service_report_panel(args.service_report)
-    if args.health:
-        return _render_health_panel(args.health)
+    if args.report:
+        return _render_report(args.report)
     if args.profile:
         return _run_doctor_profile(args)
 
@@ -1022,7 +971,7 @@ def _run_submit(args) -> int:
     Builds the demo campaign for ``--tenant``/``--seed``, prices it with
     the cost model, submits it to an in-process service and waits for
     the result; the session's ``service-report.json`` lands in
-    ``--out`` for ``jobs`` / ``doctor --service-report`` to inspect.
+    ``--out`` for ``jobs`` / ``doctor --report`` to inspect.
     """
     from pathlib import Path
 
@@ -1105,19 +1054,19 @@ def _run_jobs(args) -> int:
     (re-reading the report from disk); with ``--metrics-port`` each
     refresh also scrapes the live service's ``/healthz``.
     """
-    import json
     import time as _time
     from pathlib import Path
 
-    from repro.service.report import validate_service_report
+    from repro.telemetry.schema import SERVICE_REPORT_SCHEMA, load_report
 
     path = Path(
-        args.service_report
-        or Path(args.out or "service-out") / "service-report.json"
+        args.report or Path(args.out or "service-out") / "service-report.json"
     )
 
     def render_once() -> None:
-        payload = validate_service_report(json.loads(path.read_text()))
+        payload = load_report(path)
+        if payload["schema"] != SERVICE_REPORT_SCHEMA:
+            raise ValueError(f"{path}: not a {SERVICE_REPORT_SCHEMA} report")
         print(_jobs_table(payload))
         if args.metrics_port is not None:
             print(_scrape_healthz(args.metrics_port))
@@ -1284,19 +1233,14 @@ def main(argv: list[str] | None = None) -> int:
         help="append-only bench history consumed by the regression sentinel",
     )
     doctor.add_argument(
-        "--run-report",
+        "--report",
         default=None,
         metavar="PATH",
-        help="render the supervision panel of an existing run report "
-             "(exit 1 when recovery spend exceeds 15%% of wall time)",
-    )
-    doctor.add_argument(
-        "--health",
-        default=None,
-        metavar="PATH",
-        help="render the filter/service health panel of a run report, "
-             "service report or flight-dump report "
-             "(exit 1 when any critical alert fired)",
+        help="doctor: render every panel of an existing report artifact "
+             "(run, service, health or attribution; exit 1 when recovery "
+             "spend exceeds 15%% of wall time, a job failed or a critical "
+             "alert fired); jobs: the service report to tabulate "
+             "(default: service-out/service-report.json)",
     )
     service = parser.add_argument_group(
         "serve / submit / jobs (assimilation-as-a-service)"
@@ -1331,14 +1275,6 @@ def main(argv: list[str] | None = None) -> int:
         "--chaos",
         action="store_true",
         help="run service campaigns under the demo fault schedule",
-    )
-    service.add_argument(
-        "--service-report",
-        default=None,
-        metavar="PATH",
-        help="service report artifact for 'jobs' and "
-             "'doctor --service-report' (default: service-out/"
-             "service-report.json)",
     )
     service.add_argument(
         "--metrics-port",

@@ -14,7 +14,9 @@ and a common export surface:
   spans *and* simulated timelines (open in Perfetto);
 - :mod:`repro.telemetry.ascii` — terminal Gantt/bar rendering;
 - :class:`RunReport` — the versioned JSON artifact a campaign emits
-  (config, seeds, fault counts, phase totals, metrics, diagnostics).
+  (config, seeds, fault counts, phase totals, metrics, diagnostics);
+- :mod:`repro.telemetry.schema` — the one table of all five report
+  schemas, with :func:`load_report` / :func:`write_report`.
 
 See ``docs/OBSERVABILITY.md`` for the span/metric taxonomy.
 """
@@ -84,7 +86,6 @@ from repro.telemetry.memprof import (
     publish_memory_gauges,
     shared_segment_registry,
     validate_profile_report,
-    write_profile_report,
 )
 from repro.telemetry.metrics import (
     DEFAULT_TIME_BUCKETS,
@@ -112,6 +113,7 @@ from repro.telemetry.report import (
     RunReport,
     validate_run_report,
 )
+from repro.telemetry.schema import load_report, write_report
 from repro.telemetry.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -176,6 +178,7 @@ __all__ = [
     "get_metrics",
     "get_profiler",
     "get_tracer",
+    "load_report",
     "merge_snapshots",
     "peak_rss_bytes",
     "percentiles_from_buckets",
@@ -207,5 +210,5 @@ __all__ = [
     "validate_profile_report",
     "validate_run_report",
     "write_chrome_trace",
-    "write_profile_report",
+    "write_report",
 ]

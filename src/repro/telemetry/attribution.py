@@ -26,10 +26,9 @@ the *closed form* tracks the machine once the constants are observed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import partial
 from typing import Iterable, Sequence
 
 from repro.costmodel.model import CostParams, t_comm, t_comp, t_read, t_total
@@ -39,6 +38,12 @@ from repro.sim.trace import (
     PHASE_FAILED,
     PHASE_READ,
     PHASE_RETRY,
+)
+from repro.telemetry.schema import (
+    ATTRIBUTION_SCHEMA,
+    MODEL_PHASES,
+    JsonReport,
+    validate,
 )
 from repro.telemetry.tracer import Span
 
@@ -54,10 +59,15 @@ __all__ = [
     "validate_attribution_report",
 ]
 
-ATTRIBUTION_SCHEMA = "senkf-attribution/1"
+validate_attribution_report = partial(validate, schema_id=ATTRIBUTION_SCHEMA)
 
-#: the phases the cost model prices, in display order.
-MODEL_PHASES = ("read", "comm", "comp")
+#: the note every simulated attribution carries: its "measured" column is
+#: the simulator, which prices phases with the model's own constants.
+SIMULATOR_NOTE = (
+    "measured = the DES simulator, which runs on the cost model's own "
+    "constants: model vs simulator, so near-0% fit residuals are expected "
+    "and say nothing about host time"
+)
 
 
 @dataclass(frozen=True)
@@ -309,7 +319,7 @@ def _percentile_summaries(metrics: dict) -> dict[str, dict[str, float]]:
 
 
 @dataclass
-class AttributionReport:
+class AttributionReport(JsonReport):
     """Versioned predicted-vs-measured join of one traced campaign."""
 
     cycles: list[CycleAttribution]
@@ -373,23 +383,34 @@ class AttributionReport:
             "notes": list(self.notes),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def write(self, path: str | Path) -> Path:
-        """Validate and write the report; invalid reports never hit disk."""
-        payload = json.loads(self.to_json())
+    @classmethod
+    def from_dict(cls, payload: dict) -> "AttributionReport":
+        """Rebuild from a validated payload (derived keys are recomputed)."""
         validate_attribution_report(payload)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2))
-        return path
+        cycles = [
+            CycleAttribution(
+                phases=tuple(
+                    PhaseAttribution(r["phase"], r["predicted"], r["measured"])
+                    for r in c["phases"]
+                ),
+                **{k: c[k] for k in ("cycle", "config", "retry_seconds",
+                                     "makespan", "predicted_total")},
+            )
+            for c in payload["cycles"]
+        ]
+        return cls(cycles, **{k: payload[k] for k in (
+            "constants", "fit", "metrics", "threshold", "notes")})
 
     # -- rendering -----------------------------------------------------------
     def ascii_table(self, width: int = 72) -> str:
-        """The doctor dashboard: constants, per-phase/per-cycle rows, flags."""
+        """The doctor dashboard: constants, per-phase/per-cycle rows, flags.
+
+        The "measured" side of every report built here is the DES, which
+        runs on the cost model's own constants, so the dashboard labels
+        it *simulated* (model vs simulator, not model vs host).
+        """
         lines = [
-            f"attribution — predicted vs measured over "
+            f"attribution — model vs simulator over "
             f"{len(self.cycles)} cycle(s)"
         ]
         if self.constants:
@@ -415,7 +436,7 @@ class AttributionReport:
                 f"  fit residuals (rel rms over "
                 f"{self.fit.get('n_observations', '?')} obs): {resid}"
             )
-        header = f"  {'phase':<6} {'predicted':>12} {'measured':>12} {'rel err':>9}  flag"
+        header = f"  {'phase':<6} {'predicted':>12} {'simulated':>12} {'rel err':>9}  flag"
         lines.append(header)
         for p in self.aggregate():
             rel = p.rel_error
@@ -431,7 +452,7 @@ class AttributionReport:
                 f"{rel_text:>9}  {flag}"
             )
         lines.append(
-            f"  retry spend (measured, per-I/O-rank mean): "
+            f"  retry spend (simulated, per-I/O-rank mean): "
             f"{self.retry_seconds:.4g}s"
         )
         if len(self.cycles) > 1:
@@ -504,89 +525,5 @@ def attribute_sim_reports(
         fit=fit.summary() if fit is not None else {},
         metrics=dict(metrics or {}),
         threshold=threshold,
-        notes=list(notes),
+        notes=[*notes, SIMULATOR_NOTE],
     )
-
-
-#: required top-level keys of a valid payload and their types.
-_REQUIRED: dict[str, type | tuple[type, ...]] = {
-    "schema": str,
-    "threshold": (int, float),
-    "constants": dict,
-    "fit": dict,
-    "cycles": list,
-    "aggregate": list,
-    "retry_seconds": (int, float),
-    "drift_flags": list,
-    "metrics": dict,
-    "notes": list,
-}
-
-_PHASE_KEYS = ("phase", "predicted", "measured", "abs_error", "rel_error")
-
-
-def validate_attribution_report(payload: dict) -> dict:
-    """Check one parsed payload against the attribution schema.
-
-    Returns the payload on success; raises ``ValueError`` naming every
-    violation at once, mirroring
-    :func:`~repro.telemetry.report.validate_run_report`.
-    """
-    errors: list[str] = []
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"attribution report must be a JSON object, "
-            f"got {type(payload).__name__}"
-        )
-    for key, expected in _REQUIRED.items():
-        if key not in payload:
-            errors.append(f"missing key {key!r}")
-        elif not isinstance(payload[key], expected):
-            errors.append(
-                f"{key!r} must be {getattr(expected, '__name__', expected)}, "
-                f"got {type(payload[key]).__name__}"
-            )
-    if not errors:
-        if payload["schema"] != ATTRIBUTION_SCHEMA:
-            errors.append(
-                f"unknown schema {payload['schema']!r} "
-                f"(expected {ATTRIBUTION_SCHEMA!r})"
-            )
-        if not 0.0 < payload["threshold"]:
-            errors.append("threshold must be > 0")
-
-        def _check_phase_rows(rows, where):
-            for row in rows:
-                if not isinstance(row, dict):
-                    errors.append(f"{where} rows must be objects")
-                    continue
-                for key in _PHASE_KEYS:
-                    if key not in row:
-                        errors.append(f"{where} row missing {key!r}")
-                    elif key != "phase" and not (
-                        row[key] is None or isinstance(row[key], (int, float))
-                    ):
-                        errors.append(f"{where} {key!r} must be numeric or null")
-                if row.get("phase") not in MODEL_PHASES:
-                    errors.append(
-                        f"{where} phase must be one of {MODEL_PHASES}, "
-                        f"got {row.get('phase')!r}"
-                    )
-
-        _check_phase_rows(payload["aggregate"], "aggregate")
-        for cyc in payload["cycles"]:
-            if not isinstance(cyc, dict):
-                errors.append("cycles entries must be objects")
-                continue
-            for key in ("cycle", "config", "phases", "retry_seconds",
-                        "makespan", "predicted_total"):
-                if key not in cyc:
-                    errors.append(f"cycle entry missing {key!r}")
-            if isinstance(cyc.get("phases"), list):
-                _check_phase_rows(cyc["phases"], f"cycle {cyc.get('cycle')}")
-        for flag in payload["drift_flags"]:
-            if not isinstance(flag, str):
-                errors.append("drift_flags must be strings")
-    if errors:
-        raise ValueError("invalid attribution report: " + "; ".join(errors))
-    return payload

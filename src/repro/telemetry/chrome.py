@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.sim.trace import Timeline
+from repro.telemetry.schema import _coerce
 from repro.telemetry.tracer import Span, TraceEvent, Tracer
 
 __all__ = [
@@ -174,12 +175,6 @@ def write_chrome_trace(
     )
     path.write_text(json.dumps(payload, default=_coerce))
     return path
-
-
-def _coerce(value):
-    if hasattr(value, "item"):  # numpy scalars leaking into attrs
-        return value.item()
-    return str(value)
 
 
 def spans_from_chrome(payload: dict | str | Path) -> list[Span]:

@@ -28,7 +28,6 @@ from repro.telemetry.memprof import (
     publish_memory_gauges,
     shared_segment_registry,
     validate_profile_report,
-    write_profile_report,
 )
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiler import (
@@ -41,6 +40,7 @@ from repro.telemetry.profiler import (
     set_profiler,
     use_profiler,
 )
+from repro.telemetry.schema import write_report
 from repro.telemetry.tracer import Tracer, use_tracer
 
 
@@ -379,7 +379,7 @@ class TestProfileReport:
 
     def test_round_trip_write(self, tmp_path):
         payload = self._full_payload()
-        path = write_profile_report(payload, tmp_path / "profile.json")
+        path = write_report(payload, tmp_path / "profile.json")
         loaded = json.loads(path.read_text())
         assert loaded["schema"] == PROFILE_SCHEMA
         validate_profile_report(loaded)
@@ -402,7 +402,7 @@ class TestProfileReport:
     def test_invalid_payload_never_hits_disk(self, tmp_path):
         target = tmp_path / "profile.json"
         with pytest.raises(ValueError):
-            write_profile_report({"schema": PROFILE_SCHEMA}, target)
+            write_report({"schema": PROFILE_SCHEMA}, target)
         assert not target.exists()
 
     def test_run_report_embeds_profile(self, tmp_path):
